@@ -3,20 +3,19 @@
 //! Boots the paper's f=1 configuration (n=5 bricks, m=3 data blocks) with
 //! durable stores, drives full-stripe writes from a configurable number of
 //! concurrent clients, and reports ops/s plus p50/p99 client-observed
-//! latency — once with per-record fsync (`CommitMode::PerRecord`, the
-//! pre-group-commit behavior) and once with the group-commit pipeline
-//! (`CommitMode::Group`). The gap between the two is the whole point of
-//! the durable-hot-path work: at high concurrency the committer amortizes
-//! one `sync_data` over many queued records, so throughput scales with
-//! offered load instead of with the fsync budget.
+//! latency and the achieved group-commit factor per concurrency level: at
+//! high concurrency the committer amortizes one `sync_data` over many
+//! queued records, so throughput scales with offered load instead of with
+//! the fsync budget. One extra point with the `fab-obs` registries off
+//! gives the observability overhead.
 //!
 //! Writes `BENCH_e2e.json` (or the path given as the first non-flag
 //! argument) so CI and later PRs can diff end-to-end performance.
 //!
 //! Run: `cargo run --release -p fab-bench --bin e2e_throughput [out.json]`
 //!
-//! `--smoke` runs one bounded data point per mode and exits non-zero
-//! unless group commit at least matches per-record throughput — a cheap CI
+//! `--smoke` runs bounded metrics-off/metrics-on points and exits
+//! non-zero unless metrics-on stays within 10% of metrics-off — a cheap CI
 //! regression tripwire, not a benchmark.
 
 use std::fmt::Write as _;
@@ -26,7 +25,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use fab_core::{OpResult, RegisterConfig, StripeId};
-use fab_net::{BrickNode, CommitMode, NetClient, NodeConfig};
+use fab_net::{BrickNode, NetClient, NodeConfig};
 use fab_timestamp::ProcessId;
 
 /// The paper's f=1 layout: 5 bricks, stripes of 3 data blocks.
@@ -55,8 +54,7 @@ struct Sample {
     ops_per_s: f64,
     p50_us: u64,
     p99_us: u64,
-    /// committed records / sync_data calls, summed over the cluster
-    /// (1.0 in per-record mode by construction).
+    /// committed records / sync_data calls, summed over the cluster.
     group_commit_factor: f64,
     syncs: u64,
     committed: u64,
@@ -83,13 +81,12 @@ fn stripe(seed: u8) -> Vec<Bytes> {
 /// each, tears the cluster down, and returns the sample. `metrics`
 /// toggles the nodes' `fab-obs` registries — the on/off delta is the
 /// observability overhead the smoke gate bounds.
-fn run_point(
-    mode: CommitMode,
-    mode_name: &'static str,
-    concurrency: usize,
-    ops: usize,
-    metrics: bool,
-) -> Sample {
+fn run_point(concurrency: usize, ops: usize, metrics: bool) -> Sample {
+    let mode_name = if metrics {
+        "group"
+    } else {
+        "group_metrics_off"
+    };
     let store_root = std::env::temp_dir().join(format!(
         "fab-e2e-{}-{mode_name}-{concurrency}",
         std::process::id()
@@ -104,7 +101,6 @@ fn run_point(
         .map(|(i, l)| {
             let node_cfg = NodeConfig::new(ProcessId::new(i as u32), addrs.clone(), cfg.clone())
                 .with_store_dir(store_root.join(format!("node-{i}")))
-                .with_commit_mode(mode)
                 .with_metrics(metrics);
             BrickNode::spawn(node_cfg, l).expect("spawn brick")
         })
@@ -186,19 +182,13 @@ fn run_point(
     }
 }
 
-fn render(samples: &[Sample], speedup_at_hi: f64, metrics_overhead_pct: f64) -> String {
+fn render(samples: &[Sample], metrics_overhead_pct: f64) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"arch\": \"{}\",", std::env::consts::ARCH);
     let _ = writeln!(json, "  \"n\": {N},");
     let _ = writeln!(json, "  \"m\": {M},");
     let _ = writeln!(json, "  \"block_bytes\": {BLOCK_BYTES},");
-    let _ = writeln!(
-        json,
-        "  \"group_vs_per_record_speedup_at_{}\": {:.2},",
-        CONCURRENCY[CONCURRENCY.len() - 1],
-        speedup_at_hi
-    );
     let _ = writeln!(
         json,
         "  \"metrics_overhead_pct_at_{}\": {:.2},",
@@ -241,52 +231,14 @@ fn main() {
     }
 
     if smoke {
-        let per = run_point(
-            CommitMode::PerRecord,
-            "per_record",
-            SMOKE_CONCURRENCY,
-            SMOKE_OPS_PER_CLIENT,
-            true,
-        );
-        let grp = run_point(
-            CommitMode::Group,
-            "group",
-            SMOKE_CONCURRENCY,
-            SMOKE_OPS_PER_CLIENT,
-            true,
-        );
-        eprintln!(
-            "smoke @{}: per_record {:.0} ops/s (p99 {}us), group {:.0} ops/s (p99 {}us), \
-             group factor {:.1}",
-            SMOKE_CONCURRENCY, per.ops_per_s, per.p99_us, grp.ops_per_s, grp.p99_us,
-            grp.group_commit_factor
-        );
-        if grp.ops_per_s < per.ops_per_s {
-            eprintln!("FAIL: group commit slower than per-record fsync");
-            std::process::exit(1);
-        }
-        eprintln!("ok: group >= per-record");
-
         // Observability overhead gate: metrics-on must stay within 10% of
         // metrics-off throughput. Loopback runs are noisy, so a miss is
         // retried with fresh clusters before it convicts.
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let off = run_point(
-                CommitMode::Group,
-                "group_metrics_off",
-                SMOKE_CONCURRENCY,
-                SMOKE_OPS_PER_CLIENT,
-                false,
-            );
-            let on = run_point(
-                CommitMode::Group,
-                "group",
-                SMOKE_CONCURRENCY,
-                SMOKE_OPS_PER_CLIENT,
-                true,
-            );
+            let off = run_point(SMOKE_CONCURRENCY, SMOKE_OPS_PER_CLIENT, false);
+            let on = run_point(SMOKE_CONCURRENCY, SMOKE_OPS_PER_CLIENT, true);
             let overhead_pct = 100.0 * (1.0 - on.ops_per_s / off.ops_per_s.max(1e-9));
             eprintln!(
                 "smoke metrics overhead (attempt {attempts}): off {:.0} ops/s, on {:.0} ops/s \
@@ -308,29 +260,18 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| PathBuf::from("BENCH_e2e.json"));
     let mut samples = Vec::new();
     for &conc in &CONCURRENCY {
-        for (mode, name) in [
-            (CommitMode::PerRecord, "per_record"),
-            (CommitMode::Group, "group"),
-        ] {
-            let s = run_point(mode, name, conc, OPS_PER_CLIENT, true);
-            eprintln!(
-                "{:>10} @{:>2}: {:>7.0} ops/s  p50 {:>5}us  p99 {:>6}us  factor {:.1}",
-                s.mode, s.concurrency, s.ops_per_s, s.p50_us, s.p99_us, s.group_commit_factor
-            );
-            samples.push(s);
-        }
+        let s = run_point(conc, OPS_PER_CLIENT, true);
+        eprintln!(
+            "{:>10} @{:>2}: {:>7.0} ops/s  p50 {:>5}us  p99 {:>6}us  factor {:.1}",
+            s.mode, s.concurrency, s.ops_per_s, s.p50_us, s.p99_us, s.group_commit_factor
+        );
+        samples.push(s);
     }
 
     let hi = CONCURRENCY[CONCURRENCY.len() - 1];
     // One metrics-off point at the highest concurrency: the delta against
     // the metrics-on group sample is the observability overhead.
-    let off = run_point(
-        CommitMode::Group,
-        "group_metrics_off",
-        hi,
-        OPS_PER_CLIENT,
-        false,
-    );
+    let off = run_point(hi, OPS_PER_CLIENT, false);
     eprintln!(
         "{:>10} @{:>2}: {:>7.0} ops/s  p50 {:>5}us  p99 {:>6}us  factor {:.1}",
         "group-off", off.concurrency, off.ops_per_s, off.p50_us, off.p99_us,
@@ -344,11 +285,10 @@ fn main() {
             .find(|s| s.mode == mode && s.concurrency == conc)
             .map_or(0.0, |s| s.ops_per_s)
     };
-    let speedup = of("group", hi) / of("per_record", hi).max(1e-9);
     let metrics_overhead_pct =
         100.0 * (1.0 - of("group", hi) / of("group_metrics_off", hi).max(1e-9));
 
-    let json = render(&samples, speedup, metrics_overhead_pct);
+    let json = render(&samples, metrics_overhead_pct);
     std::fs::write(&out_path, &json).expect("write benchmark json");
     print!("{json}");
     eprintln!("wrote {}", out_path.display());

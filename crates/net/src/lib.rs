@@ -4,14 +4,19 @@
 //! This is the third substrate for the *same* sans-io protocol state
 //! machines ([`fab_core::Coordinator`] / [`fab_core::Replica`]):
 //!
-//! | substrate     | network                | purpose                    |
-//! |---------------|------------------------|----------------------------|
-//! | `fab-simnet`  | deterministic schedule | asynchrony/fault hunting   |
-//! | `fab-runtime` | crossbeam channels     | threaded in-process runs   |
-//! | **`fab-net`** | TCP (`fab-wire` codec) | multi-process deployment   |
+//! | substrate     | network                | host                     | purpose                  |
+//! |---------------|------------------------|--------------------------|--------------------------|
+//! | `fab-simnet`  | deterministic schedule | `fab_core::Brick` actor  | asynchrony/fault hunting |
+//! | `fab-runtime` | crossbeam channels     | `fab_runtime::host`      | threaded in-process runs |
+//! | **`fab-net`** | TCP (`fab-wire` codec) | `fab_runtime::host`      | multi-process deployment |
 //!
-//! A [`BrickNode`] is one brick: an event-loop thread running the
-//! coordinator and replica, an accept loop feeding per-connection reader
+//! The two wall-clock substrates run one and the same durable event loop
+//! (`fab_runtime::host::Host`: log-before-send over the group-commit
+//! pipeline, fencing, recovery); this crate supplies its TCP `Transport`
+//! and the admin front end.
+//!
+//! A [`BrickNode`] is one brick: an event-loop thread running the host
+//! (coordinator and replicas), an accept loop feeding per-connection reader
 //! threads, and one writer thread per peer with reconnect + capped
 //! exponential backoff ([`fab_simnet::Backoff`]). Links are **fair-loss**
 //! — exactly the model the protocol was proved against — so a down
@@ -77,7 +82,7 @@ pub(crate) mod sys;
 pub mod transport;
 
 pub use client::{NetClient, NetClientError};
-pub use server::{BrickNode, CommitMode, NodeConfig, TransportMetrics, WRITE_TIMEOUT};
+pub use server::{BrickNode, NodeConfig, TransportMetrics, WRITE_TIMEOUT};
 pub use transport::{
     read_frame, BufferPool, CounterSnapshot, PeerCounters, PeerSender, RecvError,
     CONNECT_TIMEOUT, MAX_COALESCED_BYTES, MAX_COALESCED_FRAMES,

@@ -1,13 +1,15 @@
 //! The brick server: one OS process (or one [`BrickNode`] in tests) = one
 //! brick of the FAB cluster, serving both peers and clients over TCP.
 //!
-//! The event loop is the same shape as `fab-runtime`'s threaded brick —
-//! the sans-io [`Coordinator`]/[`Replica`] state machines are reused
-//! byte-for-byte; only the [`Effects`] implementation differs. Here,
-//! `send` encodes the envelope with `fab-wire` and hands the frame to a
-//! [`PeerSender`] writer thread (fair-loss, reconnect with backoff), and
-//! incoming frames arrive from per-connection reader threads feeding one
-//! crossbeam channel.
+//! The event loop is `fab_runtime::host::Host` — the same durable host the
+//! threaded in-process runtime runs, monomorphised over this module's
+//! [`Transport`]: a peer send is encoded with `fab-wire` on the event loop
+//! and handed to a [`PeerSender`] writer thread (fair-loss, reconnect with
+//! backoff) once it may leave, a client's answer is a reply frame on its
+//! connection, and incoming frames arrive from per-connection reader
+//! threads feeding one crossbeam channel. Admin frames (repair
+//! orchestration, `stats-snapshot`) are this front end's own business and
+//! ride the loop as the transport's control events.
 //!
 //! Failure philosophy: **network input never panics** (hostile frames are
 //! counted and the connection closed), and **disk failure fences the
@@ -17,28 +19,22 @@
 //! exactly the fault model the protocol tolerates.
 
 use crate::transport::{read_frame, BufferPool, PeerCounters, PeerSender, RecvError};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use fab_core::{
-    Completion, Coordinator, Effects, Envelope, OpResult, Payload, RegisterConfig, Replica,
-    StripeId,
-};
+use crossbeam::channel::{unbounded, Sender};
+use fab_core::{Coordinator, Envelope, OpResult, RegisterConfig};
 use fab_repair::{plan_brick_rebuild, plan_full_scrub, DriverConfig, InProcRepair};
+use fab_runtime::host::{self, Host, Transport, COMPACT_THRESHOLD};
 use fab_simnet::{Backoff, FaultPlan};
-use fab_store::{BrickStore, CommitPipeline, StripeState};
+use fab_store::{BrickStore, CommitPipeline, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
 use fab_volume::{Layout, VolumeGeometry};
 use fab_wire::{
     encode_admin_reply_into, encode_client_reply_into, encode_peer_message_into, AdminOp,
-    AdminResponse, ClientError, ClientOp, Message, RepairProgress, StatsEntry,
-    StatsHistogramEntry, StatsReport,
+    AdminResponse, ClientError, Message, RepairProgress, StatsEntry, StatsHistogramEntry,
+    StatsReport,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -48,26 +44,8 @@ use std::time::{Duration, Instant};
 /// wedge the server's event loop or a writer thread forever).
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Compact the durable log once this many records have accumulated.
-const COMPACT_THRESHOLD: u64 = 50_000;
-
 /// How many idle encode buffers a brick retains for reuse.
 const POOL_CAPACITY: usize = 256;
-
-/// How a durable brick schedules its fsyncs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitMode {
-    /// One write + fsync per persist event, inline on the event loop.
-    /// Simple, strictly ordered, and slow: every replica ack pays a full
-    /// device flush.
-    PerRecord,
-    /// Group commit: persist events from concurrent requests are handed to
-    /// a committer thread that coalesces them into one write + one fsync,
-    /// and replica replies are released only after the covering sync
-    /// (log-before-send, unchanged — just batched).
-    #[default]
-    Group,
-}
 
 /// Everything a brick process needs to join a cluster.
 #[derive(Debug, Clone)]
@@ -86,9 +64,6 @@ pub struct NodeConfig {
     pub store_dir: Option<PathBuf>,
     /// Reconnect schedule for outbound peer connections.
     pub backoff: Backoff,
-    /// Fsync scheduling for the durable store (ignored without a
-    /// `store_dir`). Defaults to [`CommitMode::Group`].
-    pub commit_mode: CommitMode,
     /// Install the `fab-obs` metrics registry (op-lifecycle instruments
     /// plus the `stats-snapshot` admin frame). On by default; the
     /// overhead smoke benchmark flips it off to measure the delta.
@@ -104,7 +79,6 @@ impl NodeConfig {
             register,
             store_dir: None,
             backoff: Backoff::default(),
-            commit_mode: CommitMode::default(),
             metrics: true,
         }
     }
@@ -112,12 +86,6 @@ impl NodeConfig {
     /// Sets the durable store directory.
     pub fn with_store_dir(mut self, dir: PathBuf) -> Self {
         self.store_dir = Some(dir);
-        self
-    }
-
-    /// Sets the fsync scheduling mode for the durable store.
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> Self {
-        self.commit_mode = mode;
         self
     }
 
@@ -133,25 +101,14 @@ impl NodeConfig {
 #[derive(Debug, Clone)]
 struct ClientWriter(Arc<Mutex<TcpStream>>);
 
-/// An event delivered to the brick's event loop.
-enum Event {
-    /// A protocol message from a peer brick (or from ourselves — self
-    /// sends loop back without touching a socket).
-    Net { from: ProcessId, env: Envelope },
-    /// A client request, with the connection to answer on.
-    Client {
-        id: u64,
-        op: ClientOp,
-        writer: ClientWriter,
-    },
-    /// An operator request (repair orchestration).
-    Admin {
-        id: u64,
-        op: AdminOp,
-        writer: ClientWriter,
-    },
-    /// Stop the event loop.
-    Shutdown,
+type Event = host::Event<Tcp>;
+
+/// An operator request (repair orchestration, stats), with the connection
+/// to answer on.
+struct Admin {
+    id: u64,
+    op: AdminOp,
+    writer: ClientWriter,
 }
 
 /// Transport statistics for one brick: per-peer counters plus one bucket
@@ -164,20 +121,20 @@ pub struct TransportMetrics {
     pub peers: Vec<crate::transport::CounterSnapshot>,
     /// Aggregate counters for client connections.
     pub clients: crate::transport::CounterSnapshot,
-    /// Group-commit counters (`None` unless the brick runs a durable store
-    /// in [`CommitMode::Group`]).
+    /// Group-commit counters (`None` unless the brick runs a durable
+    /// store).
     pub commit: Option<fab_store::CommitStats>,
     /// Encode-buffer pool `(hits, misses)`; misses stop growing once the
     /// steady-state send path is allocation-free.
     pub pool: (u64, u64),
 }
 
-// ----------------------------------------------------------- effects ------
+// --------------------------------------------------------- transport ------
 
 /// The outbound half of the peer fabric: writer threads, their counters,
 /// and the shared encode-buffer pool. `Arc`-shared between the event loop
-/// ([`NodeIo`]) and the commit pipeline's deferred-send callbacks, which
-/// run on the committer thread.
+/// ([`Tcp`]) and the commit pipeline's deferred sends, which fire on the
+/// committer thread.
 #[derive(Debug)]
 struct PeerLinks {
     peers: Vec<Option<PeerSender>>,
@@ -196,160 +153,27 @@ impl PeerLinks {
     }
 }
 
-/// A peer send whose transmission is deferred until the records backing it
-/// are durable (group commit's log-before-send). The drop decision and the
-/// frame encoding both happen up front on the event loop — the committer
-/// thread only fires pre-built sends, so fault-injection randomness stays
-/// single-threaded and deterministic per brick.
-enum DeferredSend {
+/// A peer send captured on the event loop. The frame is encoded up front,
+/// so the committer thread only fires pre-built sends once the records
+/// backing them are durable.
+enum Outbound {
     /// A self-send: loops back into the event loop unserialized.
     Loopback(Sender<Event>, ProcessId, Envelope),
     /// An already-encoded frame for a remote peer.
     Frame(Arc<PeerLinks>, ProcessId, Vec<u8>),
-    /// Fault injection chose to drop this send (already counted).
-    Dropped,
 }
 
-impl DeferredSend {
-    fn fire(self) {
-        match self {
-            DeferredSend::Loopback(tx, from, env) => {
-                let _ = tx.send(Event::Net { from, env });
-            }
-            DeferredSend::Frame(links, to, frame) => links.send_frame(to, frame),
-            DeferredSend::Dropped => {}
-        }
-    }
-}
-
-/// The brick's durable half: how persist events reach disk.
-enum Durable {
-    /// No store: replica state is memory-only.
-    None,
-    /// [`CommitMode::PerRecord`] — the store lives on the event loop and
-    /// every record is synced inline.
-    PerRecord(BrickStore),
-    /// [`CommitMode::Group`] — the store lives on a committer thread that
-    /// batches records and releases replies after the covering sync.
-    Group(CommitPipeline),
-}
-
-/// The I/O half of the brick: frame encoding + peer writer threads on the
-/// way out, deadline timers, clock, randomness. Implements [`Effects`].
-struct NodeIo {
-    pid: ProcessId,
-    links: Arc<PeerLinks>,
-    self_tx: Sender<Event>,
-    faults: Arc<FaultPlan>,
-    epoch: Instant,
-    rng: SmallRng,
-    next_timer: u64,
-    timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    cancelled: HashSet<u64>,
-}
-
-impl NodeIo {
-    fn next_deadline(&self) -> Option<Instant> {
-        self.timers.peek().map(|r| r.0 .0)
-    }
-
-    fn due_timers(&mut self) -> Vec<u64> {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        while let Some(std::cmp::Reverse((at, id))) = self.timers.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
-            if !self.cancelled.remove(&id) {
-                due.push(id);
-            }
-        }
-        due
-    }
-}
-
-impl NodeIo {
-    /// Builds the deferred form of `send`: decides fault injection and
-    /// encodes the frame *now* (event-loop side), returning a value the
-    /// committer thread can fire after the covering sync.
-    fn defer_send(&mut self, to: ProcessId, env: Envelope) -> DeferredSend {
-        if to == self.pid {
-            return DeferredSend::Loopback(self.self_tx.clone(), self.pid, env);
-        }
-        if self.faults.should_drop(self.rng.gen_range(0..1_000_000)) {
-            if let Some(c) = self.links.counters.get(to.index()) {
-                c.record_drop();
-            }
-            return DeferredSend::Dropped;
-        }
-        let mut frame = self.links.pool.take();
-        encode_peer_message_into(self.pid, &env, &mut frame);
-        DeferredSend::Frame(self.links.clone(), to, frame)
-    }
-}
-
-impl Effects for NodeIo {
-    fn send(&mut self, to: ProcessId, env: Envelope) {
-        self.defer_send(to, env).fire();
-    }
-
-    fn set_timer(&mut self, delay: u64) -> u64 {
-        self.next_timer += 1;
-        let id = self.next_timer;
-        let at = Instant::now() + Duration::from_micros(delay);
-        self.timers.push(std::cmp::Reverse((at, id)));
-        id
-    }
-
-    fn cancel_timer(&mut self, id: u64) {
-        self.cancelled.insert(id);
-    }
-
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn rand_u64(&mut self) -> u64 {
-        self.rng.gen()
-    }
-}
-
-// ------------------------------------------------------------ server ------
-
-/// Encodes and writes one client reply; errors are ignored (a vanished
-/// client needs no answer). The frame is encoded into a pooled buffer so
-/// the steady-state reply path allocates nothing.
+/// Encodes one reply frame into a pooled buffer (the steady-state reply
+/// path allocates nothing) and writes it; errors are ignored — a vanished
+/// client or operator needs no answer.
 fn send_reply(
     writer: &ClientWriter,
     client_counters: &PeerCounters,
     pool: &BufferPool,
-    id: u64,
-    result: &Result<OpResult, ClientError>,
+    encode: impl FnOnce(&mut Vec<u8>),
 ) {
     let mut frame = pool.take();
-    encode_client_reply_into(id, result, &mut frame);
-    if let Ok(mut stream) = writer.0.lock() {
-        if stream.write_all(&frame).is_ok() {
-            client_counters.record_sent(frame.len());
-        } else {
-            client_counters.record_drop();
-        }
-    }
-    pool.put(frame);
-}
-
-/// Encodes and writes one admin reply; errors are ignored (a vanished
-/// operator needs no answer).
-fn send_admin_reply(
-    writer: &ClientWriter,
-    client_counters: &PeerCounters,
-    pool: &BufferPool,
-    id: u64,
-    result: &Result<AdminResponse, ClientError>,
-) {
-    let mut frame = pool.take();
-    encode_admin_reply_into(id, result, &mut frame);
+    encode(&mut frame);
     if let Ok(mut stream) = writer.0.lock() {
         if stream.write_all(&frame).is_ok() {
             client_counters.record_sent(frame.len());
@@ -372,277 +196,82 @@ struct RepairControl {
     repair: Option<InProcRepair>,
 }
 
-/// The brick's event-loop state (runs on its own thread).
-struct NodeServer {
+impl Drop for RepairControl {
+    /// The event loop is gone (shutdown): stop the rebuild it started. The
+    /// orchestrator thread winds down on its own.
+    fn drop(&mut self) {
+        if let Some(r) = &self.repair {
+            r.abort();
+        }
+    }
+}
+
+/// The TCP [`Transport`] plus the admin front end that rides the event
+/// loop with it.
+struct Tcp {
+    pid: ProcessId,
     cfg: Arc<RegisterConfig>,
-    replicas: HashMap<StripeId, Replica>,
-    coordinator: Coordinator,
-    io: NodeIo,
-    inbox: Receiver<Event>,
-    /// Pending client replies, keyed by coordinator operation id.
-    waiting: HashMap<u64, (u64, ClientWriter)>,
+    links: Arc<PeerLinks>,
+    self_tx: Sender<Event>,
     client_counters: Arc<PeerCounters>,
-    durable: Durable,
     repair: RepairControl,
     /// The node's metrics registry (`None` when the config disabled it).
     obs: Option<Arc<fab_obs::Registry>>,
-    /// Set when the durable store fails: the brick stops participating
-    /// (indistinguishable from a crash, which the protocol tolerates).
-    failed: bool,
+    commit_stats: Option<CommitStatsHandle>,
 }
 
-impl NodeServer {
-    fn run(mut self) {
-        loop {
-            let event = match self.io.next_deadline() {
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    match self.inbox.recv_timeout(timeout) {
-                        Ok(ev) => Some(ev),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-                None => match self.inbox.recv() {
-                    Ok(ev) => Some(ev),
-                    Err(_) => return,
-                },
-            };
-            // A fenced commit pipeline means some batch failed to reach
-            // disk: stop participating before touching another event.
-            if !self.failed {
-                if let Durable::Group(pipeline) = &self.durable {
-                    if pipeline.is_fenced() {
-                        self.fence("commit pipeline fenced");
-                    }
-                }
+impl Transport for Tcp {
+    type Send = Outbound;
+    /// The request's correlation id and the connection it arrived on.
+    type ReplyTo = (u64, ClientWriter);
+    type Control = Admin;
+
+    fn prepare(&mut self, to: ProcessId, env: Envelope) -> Option<Outbound> {
+        if to == self.pid {
+            return Some(Outbound::Loopback(self.self_tx.clone(), self.pid, env));
+        }
+        let mut frame = self.links.pool.take();
+        encode_peer_message_into(self.pid, &env, &mut frame);
+        Some(Outbound::Frame(self.links.clone(), to, frame))
+    }
+
+    fn fire(send: Outbound) {
+        match send {
+            Outbound::Loopback(tx, from, env) => {
+                let _ = tx.send(Event::Net { from, env });
             }
-            if let Some(event) = event {
-                match event {
-                    Event::Shutdown => {
-                        if let Some(r) = &self.repair.repair {
-                            r.abort(); // the orchestrator thread winds down on its own
-                        }
-                        self.refuse_waiting();
-                        return;
-                    }
-                    Event::Net { .. } if self.failed => {} // fenced brick is silent
-                    Event::Client { id, writer, .. } if self.failed => {
-                        send_reply(
-                            &writer,
-                            &self.client_counters,
-                            &self.io.links.pool,
-                            id,
-                            &Err(ClientError::Unavailable),
-                        );
-                    }
-                    Event::Admin { id, writer, .. } if self.failed => {
-                        send_admin_reply(
-                            &writer,
-                            &self.client_counters,
-                            &self.io.links.pool,
-                            id,
-                            &Err(ClientError::Unavailable),
-                        );
-                    }
-                    Event::Net { from, env } => self.on_net(from, &env),
-                    Event::Client { id, op, writer } => self.on_client(id, op, &writer),
-                    Event::Admin { id, op, writer } => self.on_admin(id, op, &writer),
-                }
-            }
-            if !self.failed {
-                for id in self.io.due_timers() {
-                    self.coordinator.on_timer(&mut self.io, id);
-                }
-            }
-            self.deliver_completions();
+            Outbound::Frame(links, to, frame) => links.send_frame(to, frame),
         }
     }
 
-    /// Answers every still-pending client with `Unavailable` (shutdown
-    /// path; a hung client is worse than a refused one).
-    fn refuse_waiting(&mut self) {
-        for (_, (id, writer)) in self.waiting.drain() {
-            send_reply(
-                &writer,
-                &self.client_counters,
-                &self.io.links.pool,
-                id,
-                &Err(ClientError::Unavailable),
-            );
+    fn dropped(&mut self, to: ProcessId) {
+        if let Some(c) = self.links.counters.get(to.index()) {
+            c.record_drop();
         }
     }
 
-    /// Fences the brick after a durable-store failure.
-    fn fence(&mut self, why: &str) {
-        eprintln!("fabd[{}]: {why}; fencing brick", self.io.pid.value());
-        self.failed = true;
-        self.refuse_waiting();
-    }
-
-    /// Rebuilds replica state from the durable log (startup/restart), and
-    /// advances the coordinator clock past every recovered timestamp.
-    fn load_from_store(&mut self) {
-        let states: Vec<(StripeId, StripeState)> = match &self.durable {
-            Durable::None => return,
-            Durable::PerRecord(store) => store
-                .stripes()
-                .map(|(stripe, st)| (stripe, st.clone()))
-                .collect(),
-            // FIFO barrier: the snapshot reflects every prior submission.
-            Durable::Group(pipeline) => pipeline.states(),
-        };
-        let pid = self.io.pid;
-        let cfg = self.cfg.clone();
-        let mut newest = fab_timestamp::Timestamp::LOW;
-        self.replicas = states
-            .into_iter()
-            .map(|(stripe, st)| {
-                newest = newest.max(st.ord_ts).max(st.log.max_ts());
-                let mut r = Replica::from_parts(pid, cfg.clone(), st.ord_ts, st.log);
-                r.enable_persistence();
-                (stripe, r)
-            })
-            .collect();
-        self.coordinator.observe_timestamp(newest);
-    }
-
-    fn on_net(&mut self, from: ProcessId, env: &Envelope) {
-        match &env.kind {
-            Payload::Request(req) => {
-                let stripe = env.stripe;
-                let round = env.round;
-                let pid = self.io.pid;
-                let cfg = self.cfg.clone();
-                let durable = !matches!(self.durable, Durable::None);
-                let replica = self.replicas.entry(stripe).or_insert_with(|| {
-                    let mut r = Replica::new(pid, cfg);
-                    if durable {
-                        r.enable_persistence();
-                    }
-                    r
-                });
-                let reply = replica.handle(req);
-                let persist = if durable {
-                    replica.take_persist_events()
-                } else {
-                    Vec::new()
-                };
-                let reply_env = reply.map(|reply| Envelope {
-                    stripe,
-                    round,
-                    kind: Payload::Reply(reply),
-                });
-                // Persist *before* replying: the reply acknowledges state
-                // the paper requires to survive a crash.
-                if matches!(self.durable, Durable::Group(_)) {
-                    // Group commit: hand the records to the committer and
-                    // defer the reply until its covering sync. Replies to
-                    // requests with *no* persist events still ride the
-                    // pipeline as empty barriers — they may reference state
-                    // whose backing records are queued but not yet synced.
-                    let records: Vec<_> =
-                        persist.into_iter().map(|event| (stripe, event)).collect();
-                    let send = reply_env.map(|env| self.io.defer_send(from, env));
-                    if records.is_empty() && send.is_none() {
-                        return; // nothing to persist, nothing to ack
-                    }
-                    if let Durable::Group(pipeline) = &self.durable {
-                        pipeline.submit(records, move |durable| {
-                            if durable {
-                                if let Some(send) = send {
-                                    send.fire();
-                                }
-                            }
-                            // !durable: the pipeline fenced. Never ack
-                            // state that did not reach disk; the event
-                            // loop notices and fences the whole brick.
-                        });
-                    }
-                    return;
-                }
-                if let Durable::PerRecord(store) = &mut self.durable {
-                    for event in &persist {
-                        // xtask-allow(no-blocking-on-event-loop): CommitMode::PerRecord is the documented synchronous mode — every record fsyncs inline before the reply, trading loop latency for the simplest durability story
-                        if store.append(stripe, event).is_err() {
-                            self.fence("store append failed");
-                            return;
-                        }
-                    }
-                    // xtask-allow(no-blocking-on-event-loop): compaction in PerRecord mode runs inline by design; pipelined deployments use Durable::Pipelined where the committer thread owns all fsyncs
-                    if store.maybe_compact(COMPACT_THRESHOLD).is_err() {
-                        self.fence("store compaction failed");
-                        return;
-                    }
-                }
-                if let Some(env) = reply_env {
-                    self.io.send(from, env);
-                }
-            }
-            Payload::Reply(_) => {
-                self.coordinator.on_reply(&mut self.io, from, env);
-            }
-        }
-    }
-
-    fn on_client(&mut self, id: u64, op: ClientOp, writer: &ClientWriter) {
-        let invoked = match op {
-            ClientOp::ReadStripe { stripe } => {
-                Ok(self.coordinator.invoke_read_stripe(&mut self.io, stripe))
-            }
-            ClientOp::WriteStripe { stripe, blocks } => self
-                .coordinator
-                .invoke_write_stripe(&mut self.io, stripe, blocks),
-            ClientOp::ReadBlock { stripe, j } => {
-                self.coordinator
-                    .invoke_read_block(&mut self.io, stripe, j as usize)
-            }
-            ClientOp::WriteBlock { stripe, j, block } => {
-                self.coordinator
-                    .invoke_write_block(&mut self.io, stripe, j as usize, block)
-            }
-            ClientOp::ReadBlocks { stripe, js } => {
-                let js = js.into_iter().map(|j| j as usize).collect();
-                self.coordinator.invoke_read_blocks(&mut self.io, stripe, js)
-            }
-            ClientOp::WriteBlocks { stripe, updates } => {
-                let updates: Vec<(usize, Bytes)> = updates
-                    .into_iter()
-                    .map(|(j, b)| (j as usize, b))
-                    .collect();
-                self.coordinator
-                    .invoke_write_blocks(&mut self.io, stripe, updates)
-            }
-            ClientOp::Scrub { stripe } => Ok(self.coordinator.invoke_scrub(&mut self.io, stripe)),
-        };
-        match invoked {
-            Ok(op_id) => {
-                self.waiting.insert(op_id, (id, writer.clone()));
-            }
-            Err(_) => send_reply(
-                writer,
-                &self.client_counters,
-                &self.io.links.pool,
-                id,
-                &Err(ClientError::InvalidRequest),
-            ),
-        }
+    fn reply(&mut self, (id, writer): Self::ReplyTo, result: Result<OpResult, ClientError>) {
+        send_reply(&writer, &self.client_counters, &self.links.pool, |frame| {
+            encode_client_reply_into(id, &result, frame);
+        });
     }
 
     /// Serves one admin operation. Start spawns the repair orchestrator on
     /// its own thread (the event loop never blocks on repair work); status
     /// and abort are answered from lock-free atomics.
-    fn on_admin(&mut self, id: u64, op: AdminOp, writer: &ClientWriter) {
-        let result = self.handle_admin(&op);
-        send_admin_reply(
-            writer,
-            &self.client_counters,
-            &self.io.links.pool,
-            id,
-            &result,
-        );
+    fn control(&mut self, Admin { id, op, writer }: Admin, down: bool) {
+        let result = if down {
+            Err(ClientError::Unavailable)
+        } else {
+            self.handle_admin(&op)
+        };
+        send_reply(&writer, &self.client_counters, &self.links.pool, |frame| {
+            encode_admin_reply_into(id, &result, frame);
+        });
     }
+}
 
+impl Tcp {
     fn handle_admin(&mut self, op: &AdminOp) -> Result<AdminResponse, ClientError> {
         match *op {
             AdminOp::RepairStart {
@@ -771,7 +400,7 @@ impl NodeServer {
         // Transport: per-peer counters summed into one node-level view.
         let mut peers = crate::transport::CounterSnapshot::default();
         let mut max_frames_per_write = 0u64;
-        for c in &self.io.links.counters {
+        for c in &self.links.counters {
             let s = c.snapshot();
             peers.frames_sent += s.frames_sent;
             peers.bytes_sent += s.bytes_sent;
@@ -799,16 +428,16 @@ impl NodeServer {
         counter(&mut counters, "net_client_frames_recv", clients.frames_recv);
         counter(&mut counters, "net_client_bytes_sent", clients.bytes_sent);
         counter(&mut counters, "net_client_bytes_recv", clients.bytes_recv);
-        let (hits, misses) = self.io.links.pool.stats();
+        let (hits, misses) = self.links.pool.stats();
         counter(&mut counters, "net_pool_hits", hits);
         counter(&mut counters, "net_pool_misses", misses);
-        counter(&mut gauges, "net_inbox_depth", self.inbox.len() as u64);
+        counter(&mut gauges, "net_inbox_depth", self.self_tx.len() as u64);
         // Group-commit pipeline. When metrics are on, the pipeline's
         // instruments are registered and already rode the registry snapshot
         // above; bridge by hand only for unregistered pipelines.
         if self.obs.is_none() {
-            if let Durable::Group(pipeline) = &self.durable {
-                let s = pipeline.stats_handle().stats();
+            if let Some(commit) = &self.commit_stats {
+                let s = commit.stats();
                 counter(&mut counters, "store_submitted", s.submitted);
                 counter(&mut counters, "store_committed", s.committed);
                 counter(&mut counters, "store_failed", s.failed);
@@ -838,24 +467,10 @@ impl NodeServer {
         gauges.sort_by(|a, b| a.name.cmp(&b.name));
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
         StatsReport {
-            node: self.io.pid.value(),
+            node: self.pid.value(),
             counters,
             gauges,
             histograms,
-        }
-    }
-
-    fn deliver_completions(&mut self) {
-        for Completion { op, result, .. } in self.coordinator.drain_completions() {
-            if let Some((id, writer)) = self.waiting.remove(&op) {
-                send_reply(
-                    &writer,
-                    &self.client_counters,
-                    &self.io.links.pool,
-                    id,
-                    &Ok(result),
-                );
-            }
         }
     }
 }
@@ -897,15 +512,15 @@ fn handle_connection(
             }
             Ok((Message::ClientRequest { id, op }, len)) => {
                 client_counters.record_recv(len);
-                let writer = writer.clone();
-                if tx.send(Event::Client { id, op, writer }).is_err() {
+                let reply = (id, writer.clone());
+                if tx.send(Event::Client { op, reply }).is_err() {
                     return;
                 }
             }
             Ok((Message::AdminRequest { id, op }, len)) => {
                 client_counters.record_recv(len);
                 let writer = writer.clone();
-                if tx.send(Event::Admin { id, op, writer }).is_err() {
+                if tx.send(Event::Control(Admin { id, op, writer })).is_err() {
                     return;
                 }
             }
@@ -988,7 +603,7 @@ pub struct BrickNode {
     counters: Vec<Arc<PeerCounters>>,
     client_counters: Arc<PeerCounters>,
     pool: Arc<BufferPool>,
-    commit_stats: Option<fab_store::CommitStatsHandle>,
+    commit_stats: Option<CommitStatsHandle>,
     obs: Option<Arc<fab_obs::Registry>>,
     node: ProcessId,
 }
@@ -1012,9 +627,8 @@ impl BrickNode {
     /// `TIME_WAIT`; [`BrickNode::shutdown`] returns the listener for
     /// exactly that purpose.
     ///
-    /// Retransmission intervals below 5 ms are raised to 20 ms, as in
-    /// `fab-runtime`: the simulator's tick-scale default would thrash a
-    /// real network.
+    /// Retransmission intervals below 5 ms are raised to 20 ms (see
+    /// [`host::wall_clock_config`]).
     ///
     /// # Errors
     ///
@@ -1022,13 +636,26 @@ impl BrickNode {
     /// `node` out of range), the store directory cannot be opened, or a
     /// thread cannot be spawned.
     pub fn spawn(cfg: NodeConfig, listener: TcpListener) -> std::io::Result<BrickNode> {
+        Self::spawn_on(cfg, listener, |dir, node| {
+            std::fs::create_dir_all(dir)?;
+            let path = dir.join(format!("brick-{}.log", node.value()));
+            BrickStore::open(path).map_err(std::io::Error::other)
+        })
+    }
+
+    /// [`BrickNode::spawn`] over any [`CommitStore`]: `open(store_dir,
+    /// node)` supplies the durable backing when `cfg.store_dir` is set.
+    fn spawn_on<S: CommitStore>(
+        cfg: NodeConfig,
+        listener: TcpListener,
+        open: impl FnOnce(&Path, ProcessId) -> std::io::Result<S>,
+    ) -> std::io::Result<BrickNode> {
         let NodeConfig {
             node,
             cluster,
-            mut register,
+            register,
             store_dir,
             backoff,
-            commit_mode,
             metrics,
         } = cfg;
         if cluster.len() != register.n() || node.index() >= cluster.len() {
@@ -1042,39 +669,21 @@ impl BrickNode {
                 ),
             ));
         }
-        if register.retransmit_interval < 5_000 {
-            register.retransmit_interval = 20_000;
-        }
-        let register = Arc::new(register);
+        let register = host::wall_clock_config(register);
         let addr = listener.local_addr()?;
 
         let obs = metrics.then(|| Arc::new(fab_obs::Registry::new()));
         let cursor_path = store_dir
             .as_ref()
             .map(|dir| dir.join(format!("repair-{}.cursor", node.value())));
-        let durable = match store_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(&dir)?;
-                let path = dir.join(format!("brick-{}.log", node.value()));
-                let store = BrickStore::open(path).map_err(std::io::Error::other)?;
-                match commit_mode {
-                    CommitMode::PerRecord => Durable::PerRecord(store),
-                    CommitMode::Group => Durable::Group(match &obs {
-                        // Registered: store_* instruments ride the node's
-                        // stats-snapshot exposition automatically.
-                        Some(reg) => {
-                            CommitPipeline::spawn_registered(store, COMPACT_THRESHOLD, reg)
-                        }
-                        None => CommitPipeline::spawn(store, COMPACT_THRESHOLD),
-                    }),
-                }
-            }
-            None => Durable::None,
-        };
-        let commit_stats = match &durable {
-            Durable::Group(pipeline) => Some(pipeline.stats_handle()),
-            _ => None,
-        };
+        let store = store_dir.as_deref().map(|dir| open(dir, node)).transpose()?;
+        let pipeline = store.map(|store| match &obs {
+            // Registered: store_* instruments ride the node's
+            // stats-snapshot exposition automatically.
+            Some(reg) => CommitPipeline::spawn_registered(store, COMPACT_THRESHOLD, reg),
+            None => CommitPipeline::spawn(store, COMPACT_THRESHOLD),
+        });
+        let commit_stats = pipeline.as_ref().map(CommitPipeline::stats_handle);
 
         let (tx, inbox) = unbounded();
         let faults = Arc::new(FaultPlan::new());
@@ -1110,37 +719,33 @@ impl BrickNode {
         if let Some(reg) = &obs {
             coordinator.set_metrics(fab_core::OpMetrics::register(reg));
         }
-        let mut server = NodeServer {
+        let transport = Tcp {
+            pid: node,
             cfg: register.clone(),
-            replicas: HashMap::new(),
-            coordinator,
-            io: NodeIo {
-                pid: node,
-                links,
-                self_tx: tx.clone(),
-                faults: faults.clone(),
-                epoch: Instant::now(),
-                rng: SmallRng::seed_from_u64(0x0fab ^ u64::from(node.value())),
-                next_timer: 0,
-                timers: BinaryHeap::new(),
-                cancelled: HashSet::new(),
-            },
-            inbox,
-            waiting: HashMap::new(),
+            links,
+            self_tx: tx.clone(),
             client_counters: client_counters.clone(),
-            durable,
             repair: RepairControl {
-                cluster: cluster.clone(),
+                cluster,
                 cursor_path,
                 repair: None,
             },
             obs: obs.clone(),
-            failed: false,
+            commit_stats: commit_stats.clone(),
         };
-        server.load_from_store();
+        let host = Host::new(
+            register,
+            coordinator,
+            transport,
+            inbox,
+            pipeline,
+            faults.clone(),
+            Instant::now(),
+            0x0fab ^ u64::from(node.value()),
+        );
         let server_handle = std::thread::Builder::new()
             .name(format!("fabd-brick-{}", node.value()))
-            .spawn(move || server.run())?;
+            .spawn(move || host.run())?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(Mutex::new(Registry::default()));
@@ -1213,7 +818,7 @@ impl BrickNode {
         TransportMetrics {
             peers: self.counters.iter().map(|c| c.snapshot()).collect(),
             clients: self.client_counters.snapshot(),
-            commit: self.commit_stats.as_ref().map(fab_store::CommitStatsHandle::stats),
+            commit: self.commit_stats.as_ref().map(CommitStatsHandle::stats),
             pool: self.pool.stats(),
         }
     }
@@ -1262,4 +867,98 @@ impl Drop for BrickNode {
             let _ = self.shutdown_inner();
         }
     }
+}
+
+#[cfg(test)]
+#[path = "../../runtime/tests/support/host_conformance.rs"]
+mod host_conformance;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetClient;
+    use fab_wire::{encode_client_request_into, ClientOp};
+    use host_conformance::{Cluster, StoreCtl};
+
+    /// A loopback cluster of [`BrickNode`]s: the host conformance suite
+    /// over the TCP transport.
+    struct TcpCluster {
+        nodes: Vec<BrickNode>,
+        addrs: Vec<SocketAddr>,
+        cfg: RegisterConfig,
+    }
+
+    impl TcpCluster {
+        fn boot(cfg: RegisterConfig, spawn: impl Fn(NodeConfig, TcpListener) -> BrickNode) -> Self {
+            let listeners: Vec<TcpListener> = (0..cfg.n())
+                .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+                .collect();
+            let addrs: Vec<SocketAddr> =
+                listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+            let nodes = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(i, l)| {
+                    let pid = ProcessId::new(i as u32);
+                    spawn(NodeConfig::new(pid, addrs.clone(), cfg.clone()), l)
+                })
+                .collect();
+            TcpCluster { nodes, addrs, cfg }
+        }
+    }
+
+    impl Cluster for TcpCluster {
+        const NAME: &'static str = "tcp";
+        type Client = NetClient;
+
+        fn on_disk(cfg: RegisterConfig, dir: &Path) -> Self {
+            Self::boot(cfg, |node_cfg, l| {
+                BrickNode::spawn(node_cfg.with_store_dir(dir.to_path_buf()), l).unwrap()
+            })
+        }
+        fn on_stores(cfg: RegisterConfig, ctls: &[StoreCtl]) -> Self {
+            Self::boot(cfg, |node_cfg, l| {
+                let store = ctls[node_cfg.node.index()].store();
+                // The directory only marks the brick durable; nothing is
+                // written under it.
+                let node_cfg = node_cfg.with_store_dir(std::env::temp_dir());
+                BrickNode::spawn_on(node_cfg, l, |_, _| Ok(store)).unwrap()
+            })
+        }
+        fn client(&self) -> NetClient {
+            NetClient::connect(self.addrs.clone(), self.cfg.clone())
+        }
+        fn invoke(client: &mut NetClient, op: ClientOp) -> Result<OpResult, String> {
+            client.try_invoke(&op).map_err(|e| e.to_string())
+        }
+        fn ask(
+            &self,
+            pid: ProcessId,
+            op: ClientOp,
+            wait: Duration,
+        ) -> Option<Result<OpResult, ClientError>> {
+            let mut stream = TcpStream::connect(self.addrs[pid.index()]).ok()?;
+            stream.set_read_timeout(Some(wait)).ok()?;
+            let mut frame = Vec::new();
+            encode_client_request_into(1, &op, &mut frame);
+            stream.write_all(&frame).ok()?;
+            match read_frame(&mut stream) {
+                Ok((Message::ClientReply { result, .. }, _)) => Some(result),
+                _ => None,
+            }
+        }
+        fn crash(&self, pid: ProcessId) {
+            self.nodes[pid.index()].tx.send(Event::Crash).unwrap();
+        }
+        fn recover(&self, pid: ProcessId) {
+            self.nodes[pid.index()].tx.send(Event::Recover).unwrap();
+        }
+        fn shutdown(self) {
+            for node in self.nodes {
+                node.shutdown();
+            }
+        }
+    }
+
+    host_conformance::suite!(TcpCluster);
 }

@@ -531,6 +531,86 @@ fn five_brick_kill_wipe_repair_rebuilds() {
     let _ = std::fs::remove_dir_all(&store_root);
 }
 
+/// The same brick replaced twice: the second `RepairStart` carries the
+/// identical plan (same hash), and must rebuild every stripe again rather
+/// than resume at the first run's final watermark and report `complete`
+/// having rebuilt nothing.
+#[test]
+fn same_brick_replaced_twice_is_rebuilt_twice() {
+    let (n, m, block) = (5usize, 3usize, 64usize);
+    let stripes = 12u64;
+    let store_root = std::env::temp_dir().join(format!("fab-repair-twice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+
+    let (mut listeners, addrs) = bind_cluster(n);
+    let cfg = RegisterConfig::new(m, n, block).unwrap();
+    let spawn_node = |i: usize, listener: TcpListener| -> BrickNode {
+        let node_cfg = NodeConfig::new(ProcessId::new(i as u32), addrs.clone(), cfg.clone())
+            .with_store_dir(store_root.join(format!("node-{i}")));
+        BrickNode::spawn(node_cfg, listener).unwrap()
+    };
+    let mut nodes: Vec<Option<BrickNode>> = listeners
+        .drain(..)
+        .enumerate()
+        .map(|(i, l)| Some(spawn_node(i, l)))
+        .collect();
+
+    let mut client = NetClient::connect(addrs.clone(), cfg.clone());
+    for s in 0..stripes {
+        let result = client
+            .try_write_stripe(StripeId(s), stripe_for(s + 1, m, block))
+            .unwrap();
+        assert_eq!(result, OpResult::Written, "seed write to stripe {s}");
+    }
+
+    let victim = 4usize;
+    let victim_dir = store_root.join(format!("node-{victim}"));
+    let start_op = AdminOp::RepairStart {
+        brick: victim as u32,
+        stripe_count: stripes,
+        stripes_per_sec: 0,
+        bytes_per_sec: 0,
+        max_inflight: 2,
+        scrub_all: false,
+    };
+    let mut admin = NetClient::connect(addrs.clone(), cfg.clone());
+    for round in 0..2 {
+        // The disk dies: wipe the store, bring the replacement up empty.
+        let listener = nodes[victim].take().unwrap().shutdown().unwrap();
+        std::fs::remove_dir_all(&victim_dir).unwrap();
+        nodes[victim] = Some(spawn_node(victim, listener));
+
+        assert!(matches!(
+            admin.try_admin(0, &start_op).unwrap(),
+            AdminResponse::Started
+        ));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            let p = repair_status(&mut admin, 0);
+            if !p.running {
+                break p;
+            }
+            assert!(Instant::now() < deadline, "repair never completed: {p:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(status.complete, "round {round}: {status:?}");
+        assert_eq!(
+            status.repaired, stripes,
+            "round {round}: every stripe must be rebuilt again: {status:?}"
+        );
+        let log = victim_dir.join(format!("brick-{victim}.log"));
+        assert!(
+            std::fs::metadata(&log).map(|md| md.len()).unwrap_or(0) > 0,
+            "round {round}: replaced brick's store is still empty"
+        );
+    }
+
+    for node in nodes.into_iter().flatten() {
+        node.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&store_root);
+}
+
 /// Fetches one node's metrics snapshot over the admin socket.
 fn stats_snapshot(admin: &mut NetClient, node: usize) -> fab_wire::StatsReport {
     match admin.try_admin(node, &AdminOp::StatsSnapshot).unwrap() {

@@ -133,6 +133,15 @@ impl RepairCursor {
         self.watermark = watermark;
         Ok(())
     }
+
+    /// Retires the cursor after its plan finished complete: the file is
+    /// emptied and the truncation synced. A later run of the *same* plan
+    /// — the same brick replaced again — then starts from zero instead of
+    /// resuming at the plan's end and rebuilding nothing.
+    pub fn retire(self) -> io::Result<()> {
+        self.file.set_len(0)?;
+        self.file.sync_all()
+    }
 }
 
 /// Appends `rec` at the current end of file (the file is opened
@@ -165,6 +174,17 @@ mod tests {
         }
         let c = RepairCursor::open(&path, 7).unwrap();
         assert_eq!(c.watermark(), 12, "last fsynced watermark survives reopen");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn retired_cursor_restarts_the_same_plan_from_zero() {
+        let path = tmp("retire");
+        let mut c = RepairCursor::open(&path, 7).unwrap();
+        c.checkpoint(40).unwrap();
+        c.retire().unwrap();
+        let c = RepairCursor::open(&path, 7).unwrap();
+        assert_eq!(c.watermark(), 0, "a finished plan must not resume at its end");
         std::fs::remove_file(&path).unwrap();
     }
 

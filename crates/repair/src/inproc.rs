@@ -38,17 +38,27 @@ fn maybe_checkpoint(cursor: &mut Option<RepairCursor>, watermark: u64, every: u6
     }
 }
 
-fn final_checkpoint(cursor: &mut Option<RepairCursor>, watermark: u64) {
-    if let Some(c) = cursor.as_mut() {
-        let _ = c.checkpoint(watermark);
+/// Ends a run: a complete one retires the cursor (the next run of the same
+/// plan is a new rebuild, not a resume); an aborted or failed one leaves
+/// its final watermark behind for the resume.
+fn end_run(cursor: Option<RepairCursor>, driver: &RepairDriver) -> RepairOutcome {
+    let outcome = driver.outcome();
+    if let Some(mut c) = cursor {
+        let _ = if outcome.complete {
+            c.retire()
+        } else {
+            c.checkpoint(driver.watermark())
+        };
     }
+    outcome
 }
 
 /// Runs `driver` to completion over one synchronous client, on the wall
 /// clock. Scrubs are issued one at a time (the client interface is
 /// synchronous), so `max_inflight` is effectively 1; throttle waits
 /// become real sleeps. Checkpoints `cursor` (if any) every
-/// `checkpoint_every` stripes of watermark advance and once at the end.
+/// `checkpoint_every` stripes of watermark advance, and retires it if the
+/// run ends complete.
 pub fn run_with_client<C: RegisterClient>(
     driver: &mut RepairDriver,
     client: &mut C,
@@ -77,8 +87,7 @@ pub fn run_with_client<C: RegisterClient>(
             Action::Done => break,
         }
     }
-    final_checkpoint(&mut cursor, driver.watermark());
-    driver.outcome()
+    end_run(cursor, driver)
 }
 
 fn as_micros(d: Duration) -> u64 {
@@ -100,9 +109,9 @@ impl InProcRepair {
     /// Starts a repair of `plan` over the given clients (one worker
     /// thread per client; in-flight concurrency is the smaller of
     /// `cfg.max_inflight` and the client count). If `cursor_path` is
-    /// given, the run resumes from that durable cursor and checkpoints
-    /// into it. The call itself never blocks on repair work — it opens
-    /// the cursor file and spawns threads.
+    /// given, the run resumes from that durable cursor, checkpoints into
+    /// it, and retires it on completing. The call itself never blocks on
+    /// repair work — it opens the cursor file and spawns threads.
     pub fn spawn<C>(
         plan: RepairPlan,
         cfg: DriverConfig,
@@ -304,8 +313,7 @@ where
     for w in workers {
         let _ = w.join();
     }
-    final_checkpoint(&mut cursor, driver.watermark());
-    driver.outcome()
+    end_run(cursor, &driver)
 }
 
 #[cfg(test)]
@@ -405,6 +413,35 @@ mod tests {
         let out = job.wait().expect("repair thread finished");
         assert!(!out.complete);
         assert!(out.stats.finished() < 100_000);
+    }
+
+    #[test]
+    fn completed_run_retires_its_cursor_so_the_same_plan_rebuilds_again() {
+        let path =
+            std::env::temp_dir().join(format!("fab-repair-inproc-again-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // The same brick replaced twice: the identical plan (same hash)
+        // must rebuild every stripe both times.
+        for round in 0..2 {
+            let client = FakeClient {
+                written: (0..40).collect(),
+            };
+            let job = InProcRepair::spawn(
+                plan(40),
+                DriverConfig::default(),
+                vec![client],
+                Some(path.clone()),
+                None,
+            )
+            .unwrap();
+            let out = job.wait().expect("repair thread finished");
+            assert!(out.complete);
+            assert_eq!(
+                out.stats.repaired, 40,
+                "round {round} resumed at the plan's end"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,362 +1,81 @@
-//! Threaded in-process cluster runtime for the storage-register protocol.
+//! Threaded in-process cluster runtime for the storage-register protocol,
+//! and the brick host every real-time substrate runs.
 //!
 //! The simulator (`fab-simnet`) exists to test the protocol under
 //! controlled asynchrony; this crate exists to *run* it: every brick is a
-//! thread, the network is crossbeam channels, timers are real deadlines,
-//! and `newTS` clock hints come from a monotonic microsecond clock. The
-//! protocol logic — [`fab_core::Coordinator`] and [`fab_core::Replica`] —
-//! is byte-for-byte the same code that runs under simulation; only the
-//! [`Effects`] implementation differs. That is the payoff of the sans-io
-//! design: asynchrony bugs are hunted deterministically, then the same
-//! state machines are deployed on threads.
+//! thread, timers are real deadlines, and `newTS` clock hints come from a
+//! monotonic microsecond clock. The protocol logic —
+//! [`fab_core::Coordinator`] and [`fab_core::Replica`] — is byte-for-byte
+//! the same code that runs under simulation; only the
+//! [`fab_core::Effects`] implementation differs. That is the payoff of the
+//! sans-io design: asynchrony bugs are hunted deterministically, then the
+//! same state machines are deployed on threads.
+//!
+//! [`host`] is that deployment: one event loop with log-before-send over a
+//! group-commit pipeline, fail-stop fencing, recovery from the log, and
+//! emulated crash/recover, generic over a small [`host::Transport`]. This
+//! crate supplies the crossbeam-channel transport; `fab-net` supplies the
+//! TCP one and runs the very same host.
 //!
 //! [`RuntimeCluster`] owns the brick threads; [`RuntimeClient`] is a
 //! cloneable blocking handle implementing the same operations as the
 //! simulated cluster (and pluggable under `fab_volume::Volume` via its
 //! `RegisterClient` trait). Fault injection mirrors the simulator: bricks
-//! can be "crashed" (they drop traffic and lose coordinator state, keeping
-//! replica state — NVRAM/disk survive real crashes) and recovered, and the
-//! channel layer can drop messages probabilistically.
+//! can be "crashed" (they go silent, refuse clients and lose coordinator
+//! state, keeping replica state — NVRAM/disk survive real crashes) and
+//! recovered, and the channel layer can drop messages probabilistically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod host;
+
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use fab_core::{
-    Completion, Coordinator, Effects, Envelope, OpResult, Payload, RegisterConfig, Replica,
-    StripeId,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use fab_core::{Coordinator, Envelope, OpResult, RegisterConfig, StripeId};
 use fab_simnet::FaultPlan;
-use fab_store::{BrickStore, CommitPipeline, CommitStats, CommitStatsHandle};
+use fab_store::{BrickStore, CommitPipeline, CommitStats, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
+use fab_wire::{ClientError, ClientOp};
+use host::{Host, Transport, COMPACT_THRESHOLD};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Compact a brick's log once it accumulates this many records (matches
-/// `fab-net`'s threshold, so both runtimes exhibit the same I/O pattern).
-const COMPACT_THRESHOLD: u64 = 50_000;
+type Event = host::Event<Channels>;
 
-/// An event delivered to a brick thread.
-enum Event {
-    /// A protocol message from another brick.
-    Net { from: ProcessId, env: Envelope },
-    /// A client request.
-    Invoke {
-        spec: OpSpec,
-        reply: Sender<Result<OpResult, RuntimeError>>,
-    },
-    /// Emulate a crash: drop coordinator state, ignore traffic.
-    Crash,
-    /// Emulate recovery.
-    Recover,
-    /// Stop the thread.
-    Shutdown,
-}
-
-/// A client-requested operation.
-#[derive(Debug, Clone)]
-enum OpSpec {
-    ReadStripe(StripeId),
-    WriteStripe(StripeId, Vec<Bytes>),
-    ReadBlock(StripeId, usize),
-    WriteBlock(StripeId, usize, Bytes),
-    ReadBlocks(StripeId, Vec<usize>),
-    WriteBlocks(StripeId, Vec<(usize, Bytes)>),
-    Scrub(StripeId),
-}
-
-/// The I/O half of a brick thread: channel sends, deadline timers, clock,
-/// randomness. Implements [`Effects`] for the protocol state machines.
-struct NetIo {
+/// The crossbeam-channel [`Transport`]: a peer send is the target brick's
+/// inbox plus the envelope, and a client's answer goes down a capacity-1
+/// channel the client is parked on.
+struct Channels {
     pid: ProcessId,
     peers: Vec<Sender<Event>>,
-    epoch: Instant,
-    rng: SmallRng,
-    next_timer: u64,
-    timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    cancelled: HashSet<u64>,
-    faults: Arc<FaultPlan>,
 }
 
-impl std::fmt::Debug for NetIo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetIo")
-            .field("pid", &self.pid)
-            .field("pending_timers", &self.timers.len())
-            .finish()
-    }
-}
+impl Transport for Channels {
+    type Send = (Sender<Event>, ProcessId, Envelope);
+    type ReplyTo = Sender<Result<OpResult, ClientError>>;
+    type Control = Infallible;
 
-/// A send whose drop decision and channel capture happened on the event
-/// loop (keeping the fault-injection RNG single-threaded) but whose actual
-/// delivery is deferred — e.g. until the commit pipeline reports the
-/// covering fsync. `None` means the fair-loss channel dropped it.
-type DeferredSend = Option<(Sender<Event>, ProcessId, Envelope)>;
-
-fn fire(send: DeferredSend) {
-    if let Some((tx, from, env)) = send {
-        let _ = tx.send(Event::Net { from, env });
-    }
-}
-
-impl NetIo {
-    fn next_deadline(&self) -> Option<Instant> {
-        self.timers.peek().map(|r| r.0 .0)
-    }
-
-    /// Decides the fate of a send now (fault injection consumes RNG on the
-    /// event loop) and captures everything needed to deliver it later.
-    fn defer_send(&mut self, to: ProcessId, env: Envelope) -> DeferredSend {
-        if to != self.pid && self.faults.should_drop(self.rng.gen_range(0..1_000_000)) {
-            return None; // fair-loss channel drops this transmission
-        }
+    fn prepare(&mut self, to: ProcessId, env: Envelope) -> Option<Self::Send> {
         self.peers
             .get(to.index())
             .map(|tx| (tx.clone(), self.pid, env))
     }
 
-    /// Pops timers whose deadlines have passed, skipping cancelled ones.
-    fn due_timers(&mut self) -> Vec<u64> {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        while let Some(std::cmp::Reverse((at, id))) = self.timers.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
-            if !self.cancelled.remove(&id) {
-                due.push(id);
-            }
-        }
-        due
-    }
-}
-
-impl Effects for NetIo {
-    fn send(&mut self, to: ProcessId, env: Envelope) {
-        fire(self.defer_send(to, env));
+    fn fire((tx, from, env): Self::Send) {
+        let _ = tx.send(Event::Net { from, env });
     }
 
-    fn set_timer(&mut self, delay: u64) -> u64 {
-        self.next_timer += 1;
-        let id = self.next_timer;
-        let at = Instant::now() + Duration::from_micros(delay);
-        self.timers.push(std::cmp::Reverse((at, id)));
-        id
+    fn reply(&mut self, to: Self::ReplyTo, result: Result<OpResult, ClientError>) {
+        let _ = to.send(result);
     }
 
-    fn cancel_timer(&mut self, id: u64) {
-        self.cancelled.insert(id);
-    }
-
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn rand_u64(&mut self) -> u64 {
-        self.rng.gen()
-    }
-}
-
-/// One brick thread's state.
-struct BrickServer {
-    cfg: Arc<RegisterConfig>,
-    replicas: HashMap<StripeId, Replica>,
-    coordinator: Coordinator,
-    io: NetIo,
-    inbox: Receiver<Event>,
-    /// Client reply channels, by operation id.
-    waiting: HashMap<u64, Sender<Result<OpResult, RuntimeError>>>,
-    crashed: bool,
-    /// Durable backing (the paper's `store(var)`); `None` = volatile-only
-    /// bricks whose replica state survives emulated crashes in memory.
-    /// When present, the pipeline group-commits appends off the event loop
-    /// and replica replies are withheld until the covering fsync lands
-    /// (log-before-send).
-    pipeline: Option<CommitPipeline>,
-}
-
-impl BrickServer {
-    fn run(mut self) {
-        loop {
-            let event = match self.io.next_deadline() {
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    match self.inbox.recv_timeout(timeout) {
-                        Ok(ev) => Some(ev),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-                None => match self.inbox.recv() {
-                    Ok(ev) => Some(ev),
-                    Err(_) => return,
-                },
-            };
-            // A failed commit fences the pipeline: nothing later will ever
-            // be durable, so the brick fail-stops (clients fail over).
-            if self.pipeline.as_ref().is_some_and(CommitPipeline::is_fenced) {
-                return;
-            }
-            if let Some(event) = event {
-                match event {
-                    Event::Shutdown => return,
-                    Event::Crash => {
-                        self.crashed = true;
-                        self.coordinator.on_crash();
-                        self.waiting.clear();
-                        if self.pipeline.is_some() {
-                            // A durable brick loses its memory entirely;
-                            // recovery reloads from the on-disk log.
-                            self.replicas.clear();
-                        } else {
-                            for r in self.replicas.values_mut() {
-                                r.on_crash();
-                            }
-                        }
-                    }
-                    Event::Recover => {
-                        self.crashed = false;
-                        if self.pipeline.is_some() {
-                            self.load_from_store();
-                        }
-                    }
-                    _ if self.crashed => {} // a dead brick is silent
-                    Event::Net { from, env } => self.on_net(from, &env),
-                    Event::Invoke { spec, reply } => self.on_invoke(spec, reply),
-                }
-            }
-            if !self.crashed {
-                for id in self.io.due_timers() {
-                    self.coordinator.on_timer(&mut self.io, id);
-                }
-            }
-            self.deliver_completions();
-        }
-    }
-
-    /// Rebuilds the replica map from the durable store (recovery path),
-    /// and advances the coordinator's clock past every recovered
-    /// timestamp so post-restart operations order after pre-crash ones
-    /// without conflict storms.
-    fn load_from_store(&mut self) {
-        let Some(pipeline) = &self.pipeline else { return };
-        let pid = self.io.pid;
-        let cfg = self.cfg.clone();
-        let mut newest = fab_timestamp::Timestamp::LOW;
-        // `states()` is a FIFO barrier on the committer: every append
-        // submitted before this call is reflected in the snapshot.
-        self.replicas = pipeline
-            // xtask-allow(no-blocking-on-event-loop): recovery runs before the brick serves traffic; the barrier on the committer is the point of load_from_store
-            .states()
-            .into_iter()
-            .map(|(stripe, st)| {
-                newest = newest.max(st.ord_ts).max(st.log.max_ts());
-                let mut r = Replica::from_parts(pid, cfg.clone(), st.ord_ts, st.log);
-                r.enable_persistence();
-                (stripe, r)
-            })
-            .collect();
-        self.coordinator.observe_timestamp(newest);
-    }
-
-    fn on_net(&mut self, from: ProcessId, env: &Envelope) {
-        match &env.kind {
-            Payload::Request(req) => {
-                let stripe = env.stripe;
-                let round = env.round;
-                let pid = ProcessId::new(self.io.pid.value());
-                let cfg = self.cfg.clone();
-                let durable = self.pipeline.is_some();
-                let replica = self.replicas.entry(stripe).or_insert_with(|| {
-                    let mut r = Replica::new(pid, cfg);
-                    if durable {
-                        r.enable_persistence();
-                    }
-                    r
-                });
-                let reply = replica.handle(req);
-                let reply_env = reply.map(|reply| Envelope {
-                    stripe,
-                    round,
-                    kind: Payload::Reply(reply),
-                });
-                if let Some(pipeline) = &self.pipeline {
-                    // Log-before-send: the reply (even one with no new
-                    // persist events — it still acknowledges durable state)
-                    // leaves only after the fsync covering this request's
-                    // records. Group commit coalesces concurrent requests
-                    // into one write + one sync on the committer thread.
-                    let records: Vec<_> = self
-                        .replicas
-                        .get_mut(&stripe)
-                        .expect("just inserted")
-                        .take_persist_events()
-                        .into_iter()
-                        .map(|event| (stripe, event))
-                        .collect();
-                    let send = reply_env.map(|env| self.io.defer_send(from, env));
-                    if records.is_empty() && send.is_none() {
-                        return;
-                    }
-                    pipeline.submit(records, move |is_durable| {
-                        if is_durable {
-                            if let Some(send) = send {
-                                fire(send);
-                            }
-                        }
-                    });
-                } else if let Some(env) = reply_env {
-                    fire(self.io.defer_send(from, env));
-                }
-            }
-            Payload::Reply(_) => {
-                self.coordinator.on_reply(&mut self.io, from, env);
-            }
-        }
-    }
-
-    fn on_invoke(&mut self, spec: OpSpec, reply: Sender<Result<OpResult, RuntimeError>>) {
-        let op = match spec {
-            OpSpec::ReadStripe(s) => Ok(self.coordinator.invoke_read_stripe(&mut self.io, s)),
-            OpSpec::WriteStripe(s, blocks) => {
-                self.coordinator
-                    .invoke_write_stripe(&mut self.io, s, blocks)
-            }
-            OpSpec::ReadBlock(s, j) => self.coordinator.invoke_read_block(&mut self.io, s, j),
-            OpSpec::WriteBlock(s, j, b) => {
-                self.coordinator.invoke_write_block(&mut self.io, s, j, b)
-            }
-            OpSpec::ReadBlocks(s, js) => self.coordinator.invoke_read_blocks(&mut self.io, s, js),
-            OpSpec::WriteBlocks(s, updates) => {
-                self.coordinator
-                    .invoke_write_blocks(&mut self.io, s, updates)
-            }
-            OpSpec::Scrub(s) => Ok(self.coordinator.invoke_scrub(&mut self.io, s)),
-        };
-        match op {
-            Ok(id) => {
-                self.waiting.insert(id, reply);
-            }
-            Err(_) => {
-                let _ = reply.send(Err(RuntimeError::InvalidRequest));
-            }
-        }
-    }
-
-    fn deliver_completions(&mut self) {
-        for Completion { op, result, .. } in self.coordinator.drain_completions() {
-            if let Some(reply) = self.waiting.remove(&op) {
-                let _ = reply.send(Ok(result));
-            }
-        }
+    fn control(&mut self, event: Infallible, _down: bool) {
+        match event {}
     }
 }
 
@@ -365,12 +84,12 @@ impl BrickServer {
 #[non_exhaustive]
 pub enum RuntimeError {
     /// No brick answered within the client timeout (all contacted bricks
-    /// crashed or unreachable).
+    /// crashed, fenced or unreachable).
     Timeout,
     /// The invocation was rejected as malformed (wrong stripe shape or
     /// block index).
     InvalidRequest,
-    /// The cluster has been shut down.
+    /// The cluster has been shut down: no brick thread is left.
     Closed,
 }
 
@@ -425,10 +144,10 @@ impl RuntimeCluster {
     /// Spawns `cfg.n()` brick threads with volatile (in-memory) replica
     /// state.
     ///
-    /// Retransmission intervals below 5 ms are raised to 20 ms: the
-    /// simulator's tick-scale default would thrash real channels.
+    /// Retransmission intervals below 5 ms are raised to 20 ms (see
+    /// [`host::wall_clock_config`]).
     pub fn new(cfg: RegisterConfig) -> Self {
-        Self::build(cfg, None)
+        Self::build(cfg, |_| None::<BrickStore>)
     }
 
     /// Spawns `cfg.n()` brick threads whose replica state is durably
@@ -441,16 +160,20 @@ impl RuntimeCluster {
     /// Panics if the directory cannot be created or a brick log cannot be
     /// opened/replayed.
     pub fn with_persistence<P: AsRef<std::path::Path>>(cfg: RegisterConfig, dir: P) -> Self {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).expect("create brick store directory");
-        Self::build(cfg, Some(&dir))
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir).expect("create brick store directory");
+        Self::build(cfg, |i| {
+            Some(BrickStore::open(dir.join(format!("brick-{i}.log"))).expect("open brick store"))
+        })
     }
 
-    fn build(mut cfg: RegisterConfig, store_dir: Option<&std::path::Path>) -> Self {
-        if cfg.retransmit_interval < 5_000 {
-            cfg.retransmit_interval = 20_000;
-        }
-        let cfg = Arc::new(cfg);
+    /// Spawns the brick threads; `store(i)` is brick `i`'s durable backing
+    /// (`None` = volatile).
+    fn build<S: CommitStore>(
+        cfg: RegisterConfig,
+        mut store: impl FnMut(usize) -> Option<S>,
+    ) -> Self {
+        let cfg = host::wall_clock_config(cfg);
         let n = cfg.n();
         let faults = Arc::new(FaultPlan::new());
         let epoch = Instant::now();
@@ -462,39 +185,30 @@ impl RuntimeCluster {
         for (i, (_, inbox)) in channels.into_iter().enumerate() {
             let pid = ProcessId::new(i as u32);
             let registry = Arc::new(fab_obs::Registry::new());
-            let pipeline = store_dir.map(|dir| {
-                let store = BrickStore::open(dir.join(format!("brick-{i}.log")))
-                    .expect("open brick store");
-                CommitPipeline::spawn_registered(store, COMPACT_THRESHOLD, &registry)
-            });
+            let pipeline =
+                store(i).map(|s| CommitPipeline::spawn_registered(s, COMPACT_THRESHOLD, &registry));
             commit_stats.push(pipeline.as_ref().map(CommitPipeline::stats_handle));
             let mut coordinator = Coordinator::new(pid, cfg.clone());
             coordinator.set_metrics(fab_core::OpMetrics::register(&registry));
             obs.push(registry);
-            let mut server = BrickServer {
-                cfg: cfg.clone(),
-                replicas: HashMap::new(),
-                coordinator,
-                io: NetIo {
-                    pid,
-                    peers: senders.clone(),
-                    epoch,
-                    rng: SmallRng::seed_from_u64(0x5eed ^ i as u64),
-                    next_timer: 0,
-                    timers: BinaryHeap::new(),
-                    cancelled: HashSet::new(),
-                    faults: faults.clone(),
-                },
-                inbox,
-                waiting: HashMap::new(),
-                crashed: false,
-                pipeline,
+            let transport = Channels {
+                pid,
+                peers: senders.clone(),
             };
-            server.load_from_store();
+            let host = Host::new(
+                cfg.clone(),
+                coordinator,
+                transport,
+                inbox,
+                pipeline,
+                faults.clone(),
+                epoch,
+                0x5eed ^ i as u64,
+            );
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("fab-brick-{i}"))
-                    .spawn(move || server.run())
+                    .spawn(move || host.run())
                     .expect("spawn brick thread"),
             );
         }
@@ -559,7 +273,8 @@ impl RuntimeCluster {
 
     /// Emulates a crash of `pid`: coordinator state is lost, replica state
     /// (the paper's persistent `ord-ts` and log) survives, and the brick
-    /// ignores all traffic until [`RuntimeCluster::recover`].
+    /// ignores its peers and refuses clients until
+    /// [`RuntimeCluster::recover`].
     pub fn crash(&self, pid: ProcessId) {
         let _ = self.senders[pid.index()].send(Event::Crash);
     }
@@ -586,6 +301,12 @@ impl Drop for RuntimeCluster {
     }
 }
 
+/// A block index on the wire; one too large for the wire is out of range
+/// for every configuration, so the brick rejects it as malformed.
+fn index(j: usize) -> u32 {
+    u32::try_from(j).unwrap_or(u32::MAX)
+}
+
 /// A blocking client for a [`RuntimeCluster`]. Cloneable; coordinators are
 /// rotated per request.
 #[derive(Debug, Clone)]
@@ -603,32 +324,36 @@ impl RuntimeClient {
         &self.cfg
     }
 
-    fn invoke(&mut self, spec: &OpSpec) -> Result<OpResult, RuntimeError> {
+    fn invoke(&mut self, op: &ClientOp) -> Result<OpResult, RuntimeError> {
         let n = self.senders.len();
-        // Try up to n bricks: a crashed brick never answers, the next one
-        // will (client-side failover needs no failure detector — §1.3).
+        let mut gone = 0;
+        // Try up to n bricks: a crashed or fenced brick refuses or never
+        // answers, the next one will (client-side failover needs no
+        // failure detector — §1.3).
         for _ in 0..n {
             let target = (self.next as usize) % n;
             self.next = self.next.wrapping_add(1);
-            let (tx, rx) = bounded(1);
+            let (reply, rx) = bounded(1);
+            let op = op.clone();
             if self.senders[target]
-                .send(Event::Invoke {
-                    spec: spec.clone(),
-                    reply: tx,
-                })
+                .send(Event::Client { op, reply })
                 .is_err()
             {
-                return Err(RuntimeError::Closed);
+                gone += 1; // its thread has exited: as dead as a crashed brick
+                continue;
             }
             match rx.recv_timeout(self.timeout) {
-                Ok(result) => return result,
-                // A crashed brick drops the channel without answering;
-                // fail over to the next brick, like a timeout.
-                Err(RecvTimeoutError::Disconnected) => continue,
-                Err(RecvTimeoutError::Timeout) => continue,
+                Ok(Ok(result)) => return Ok(result),
+                Ok(Err(ClientError::InvalidRequest)) => return Err(RuntimeError::InvalidRequest),
+                // Refused (brick down), dropped, or timed out: fail over.
+                Ok(Err(_)) | Err(_) => {}
             }
         }
-        Err(RuntimeError::Timeout)
+        Err(if gone == n {
+            RuntimeError::Closed
+        } else {
+            RuntimeError::Timeout
+        })
     }
 
     /// Reads a whole stripe.
@@ -637,7 +362,7 @@ impl RuntimeClient {
     ///
     /// [`RuntimeError`] on timeout, malformed request, or shutdown.
     pub fn read_stripe(&mut self, stripe: StripeId) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::ReadStripe(stripe))
+        self.invoke(&ClientOp::ReadStripe { stripe })
     }
 
     /// Writes a whole stripe.
@@ -650,7 +375,7 @@ impl RuntimeClient {
         stripe: StripeId,
         blocks: Vec<Bytes>,
     ) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::WriteStripe(stripe, blocks))
+        self.invoke(&ClientOp::WriteStripe { stripe, blocks })
     }
 
     /// Reads one block.
@@ -659,7 +384,8 @@ impl RuntimeClient {
     ///
     /// [`RuntimeError`] on timeout, malformed request, or shutdown.
     pub fn read_block(&mut self, stripe: StripeId, j: usize) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::ReadBlock(stripe, j))
+        let j = index(j);
+        self.invoke(&ClientOp::ReadBlock { stripe, j })
     }
 
     /// Writes one block.
@@ -673,7 +399,8 @@ impl RuntimeClient {
         j: usize,
         block: Bytes,
     ) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::WriteBlock(stripe, j, block))
+        let j = index(j);
+        self.invoke(&ClientOp::WriteBlock { stripe, j, block })
     }
 
     /// Reads several blocks of one stripe in one operation.
@@ -686,7 +413,8 @@ impl RuntimeClient {
         stripe: StripeId,
         js: Vec<usize>,
     ) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::ReadBlocks(stripe, js))
+        let js = js.into_iter().map(index).collect();
+        self.invoke(&ClientOp::ReadBlocks { stripe, js })
     }
 
     /// Writes several blocks of one stripe in one operation.
@@ -699,7 +427,8 @@ impl RuntimeClient {
         stripe: StripeId,
         updates: Vec<(usize, Bytes)>,
     ) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::WriteBlocks(stripe, updates))
+        let updates = updates.into_iter().map(|(j, b)| (index(j), b)).collect();
+        self.invoke(&ClientOp::WriteBlocks { stripe, updates })
     }
 
     /// Scrubs one stripe: recovers the current value and writes it back to
@@ -710,14 +439,65 @@ impl RuntimeClient {
     ///
     /// [`RuntimeError`] on timeout or shutdown.
     pub fn scrub(&mut self, stripe: StripeId) -> Result<OpResult, RuntimeError> {
-        self.invoke(&OpSpec::Scrub(stripe))
+        self.invoke(&ClientOp::Scrub { stripe })
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/host_conformance.rs"]
+mod host_conformance;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fab_core::{BlockValue, StripeValue};
+
+    /// The host conformance suite over the channel transport.
+    mod channels {
+        use super::super::*;
+        use host_conformance::{Cluster, StoreCtl};
+
+        impl Cluster for RuntimeCluster {
+            const NAME: &'static str = "channels";
+            type Client = RuntimeClient;
+
+            fn on_disk(cfg: RegisterConfig, dir: &std::path::Path) -> Self {
+                RuntimeCluster::with_persistence(cfg, dir)
+            }
+            fn on_stores(cfg: RegisterConfig, ctls: &[StoreCtl]) -> Self {
+                RuntimeCluster::build(cfg, |i| Some(ctls[i].store()))
+            }
+            fn client(&self) -> RuntimeClient {
+                RuntimeCluster::client(self)
+            }
+            fn invoke(client: &mut RuntimeClient, op: ClientOp) -> Result<OpResult, String> {
+                client.invoke(&op).map_err(|e| e.to_string())
+            }
+            fn ask(
+                &self,
+                pid: ProcessId,
+                op: ClientOp,
+                wait: Duration,
+            ) -> Option<Result<OpResult, ClientError>> {
+                let (reply, rx) = bounded(1);
+                self.senders[pid.index()]
+                    .send(Event::Client { op, reply })
+                    .ok()?;
+                rx.recv_timeout(wait).ok()
+            }
+            fn crash(&self, pid: ProcessId) {
+                RuntimeCluster::crash(self, pid);
+            }
+            fn recover(&self, pid: ProcessId) {
+                RuntimeCluster::recover(self, pid);
+            }
+            fn shutdown(self) {
+                RuntimeCluster::shutdown(&self);
+            }
+        }
+
+        host_conformance::suite!(RuntimeCluster);
+    }
 
     fn blocks(m: usize, seed: u8, size: usize) -> Vec<Bytes> {
         (0..m)

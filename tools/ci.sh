@@ -21,9 +21,9 @@
 #                               test (the 50k sweep and mutation smoke live in
 #                               tools/nightly.sh; see TESTING.md)
 #   8. e2e throughput smoke   — bounded n=5/m=3 durable-write run asserting
-#                               group commit is at least as fast as
-#                               per-record fsync (regression tripwire for
-#                               the commit pipeline, not a benchmark)
+#                               metrics-on throughput stays within 10% of
+#                               metrics-off (regression tripwire for the
+#                               observability overhead, not a benchmark)
 #   9. loom model checking    — exhaustive interleaving suites for the
 #                               commit pipeline and the transport buffer
 #                               pool, built with --cfg loom (swaps std sync
@@ -40,6 +40,10 @@
 #                               stats e2e (kill/restart must surface as
 #                               reconnects + recovered reads in
 #                               AdminOp::StatsSnapshot replies)
+#  12. repository benchmark    — `benchmark/` is a workspace of its own, so
+#                               no earlier stage notices when a crate API
+#                               change breaks it: its unit tests, then a
+#                               `--smoke` pass over every workload
 #
 # Optional: when `cargo-llvm-cov` is installed, COVERAGE=1 ./tools/ci.sh
 # appends a line-coverage summary after the gates (informational, non-gating).
@@ -72,10 +76,11 @@ run cargo xtask torture --runs 500 --seed-base fixed --check-determinism \
     --bench-out target/BENCH_torture_ci.json
 run timeout 300 cargo test -q -p fab-torture --lib differential -- --ignored
 
-# Stage 8: end-to-end durable-write smoke. One bounded data point per commit
-# mode over real loopback TCP; exits non-zero if group commit ever loses to
-# per-record fsync. The full sweep that regenerates BENCH_e2e.json is run
-# manually (`cargo run --release -p fab-bench --bin e2e_throughput`).
+# Stage 8: end-to-end durable-write smoke. Bounded metrics-off / metrics-on
+# data points over real loopback TCP; exits non-zero if the fab-obs
+# registries cost more than 10% of throughput. The full sweep that
+# regenerates BENCH_e2e.json is run manually
+# (`cargo run --release -p fab-bench --bin e2e_throughput`).
 run timeout 300 cargo run --release -p fab-bench --bin e2e_throughput -- --smoke
 
 # Stage 9: exhaustive model checking of the concurrency kernels. --cfg loom
@@ -107,6 +112,13 @@ run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
     cargo test -q -p fab-obs --test loom
 run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
     five_brick_stats_snapshot_reconciles_over_loopback
+
+# Stage 12: the repository benchmark (BENCHMARK.json) builds from its own
+# manifest against the crates' `pub` items; keep it compiling, its checks
+# passing, and every workload runnable end to end.
+run timeout 300 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+run timeout 300 cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- --smoke
 
 # Informational line-coverage summary (requires `cargo llvm-cov`; opt-in so
 # the default gate stays fast and works in toolchains without the component).

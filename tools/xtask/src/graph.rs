@@ -609,7 +609,7 @@ fn free_standing() {}
 
     #[test]
     fn resolves_cross_module_chain_with_arity() {
-        // A cross-crate chain: server::on_net -> store::append -> fsync'ish.
+        // A cross-crate chain: host::on_net -> store::append -> fsync'ish.
         let w = ws(&[
             (
                 "crates/store/src/lib.rs",
@@ -623,9 +623,9 @@ impl Store {
 ",
             ),
             (
-                "crates/net/src/server.rs",
+                "crates/runtime/src/host.rs",
                 "\
-impl Server {
+impl<T: Transport, S: CommitStore> Host<T, S> {
     fn on_net(&mut self, stripe: u64) {
         self.store.append(stripe, &ev);
         self.sock.shutdown(Shutdown::Both);
@@ -634,7 +634,7 @@ impl Server {
 ",
             ),
         ]);
-        let on_net = w.fn_by_qual("crates/net/src/server.rs", "Server::on_net").unwrap();
+        let on_net = w.fn_by_qual("crates/runtime/src/host.rs", "Host::on_net").unwrap();
         let append_call = w.fns[on_net]
             .calls
             .iter()

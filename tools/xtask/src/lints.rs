@@ -112,7 +112,7 @@ pub fn registry() -> Vec<Lint> {
         Lint {
             id: "no-blocking-on-event-loop",
             rule: "L8",
-            desc: "no fsync/channel-wait/lock-wait reachable from NodeServer/BrickServer event-loop entries",
+            desc: "no fsync/channel-wait/lock-wait reachable from the brick host's event-loop entries",
             check: Check::Workspace(no_blocking_on_event_loop),
         },
         Lint {
@@ -200,13 +200,15 @@ fn kernel_file(p: &str) -> bool {
 }
 
 /// Untrusted-input surfaces added by the TCP transport: the whole wire
-/// codec (every byte it reads came off a socket) and the fab-net threads
-/// that sit between sockets and the protocol (a panic there kills a brick,
-/// which the fault model only tolerates as a *counted* crash).
+/// codec (every byte it reads came off a socket), the fab-net threads
+/// that sit between sockets and the protocol, and the brick host whose
+/// event loop they feed (a panic there kills a brick, which the fault
+/// model only tolerates as a *counted* crash).
 fn untrusted_input(p: &str) -> bool {
     p.starts_with("crates/wire/src/")
         || p == "crates/net/src/transport.rs"
         || p == "crates/net/src/server.rs"
+        || p == "crates/runtime/src/host.rs"
 }
 
 /// The committer thread owns the only handle to a brick's durable log; a
@@ -350,6 +352,7 @@ fn no_untrusted_index(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             | "crates/wire/src/frame.rs"
             | "crates/net/src/transport.rs"
             | "crates/net/src/server.rs"
+            | "crates/runtime/src/host.rs"
             | "crates/store/src/commit.rs"
             | "crates/repair/src/planner.rs"
             | "crates/repair/src/driver.rs"
@@ -1320,7 +1323,8 @@ fn on_read() {
     #[test]
     fn l1_covers_wire_decode_and_net_threads() {
         // A decoder that panics on hostile bytes is a remote crash: the wire
-        // crate and the fab-net socket threads are in L1 scope.
+        // crate, the fab-net socket threads and the brick host they feed
+        // are in L1 scope.
         let src = "\
 fn decode_frame(buf: &[u8]) -> Message {
     let kind = FrameKind::decode(tag).unwrap();
@@ -1334,6 +1338,7 @@ fn decode_frame(buf: &[u8]) -> Message {
             "crates/wire/src/frame.rs",
             "crates/net/src/transport.rs",
             "crates/net/src/server.rs",
+            "crates/runtime/src/host.rs",
             "crates/store/src/commit.rs",
         ] {
             let d = run_lint("no-panic", path, src);
@@ -1412,6 +1417,19 @@ fn read_frame(stream: &mut TcpStream) -> Result<Message, RecvError> {
         let d = run_lint("no-untrusted-index", "crates/net/src/transport.rs", net);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].msg.contains("read_frame"));
+
+        // The brick host's `on_*` handlers consume what those decoders
+        // produce: a process id off the wire must not index a table.
+        let host = "\
+impl<T: Transport, S: CommitStore> Host<T, S> {
+    fn on_net(&mut self, from: ProcessId, env: &Envelope) {
+        let peer = self.peers[from.index()];
+    }
+}
+";
+        let d = run_lint("no-untrusted-index", "crates/runtime/src/host.rs", host);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].msg.contains("on_net"));
     }
 
     #[test]
@@ -1476,8 +1494,8 @@ fn f() {
         assert!(run_lint("determinism", "crates/core/src/brick.rs", src).is_empty());
         let src2 = "fn f() { let m = std::collections::HashMap::<u32, u32>::new(); }";
         assert!(
-            run_lint("determinism", "crates/runtime/src/lib.rs", src2).is_empty(),
-            "runtime crate may use real clocks/maps"
+            run_lint("determinism", "crates/runtime/src/host.rs", src2).is_empty(),
+            "the wall-clock brick host may use real clocks/maps"
         );
     }
 
@@ -1821,12 +1839,12 @@ impl Hub {
 
     // ------------------------------------------------------------ L8 -------
 
-    const SERVER: &str = "crates/net/src/server.rs";
+    const HOST: &str = "crates/runtime/src/host.rs";
 
     #[test]
     fn l8_fires_on_direct_and_transitive_blocking_from_entry() {
         let src = "\
-impl NodeServer {
+impl<T: Transport, S: CommitStore> Host<T, S> {
     fn on_net(&mut self, msg: Message) {
         self.store.sync_data();
         self.drain();
@@ -1838,7 +1856,7 @@ impl NodeServer {
     }
 }
 ";
-        let d = run_workspace_lint("no-blocking-on-event-loop", &[(SERVER, src)]);
+        let d = run_workspace_lint("no-blocking-on-event-loop", &[(HOST, src)]);
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d[0].msg.contains("`sync_data` blocks event-loop entry"), "{}", d[0].msg);
         assert!(d[1].msg.contains("call to `drain`"), "{}", d[1].msg);
@@ -1848,11 +1866,9 @@ impl NodeServer {
     #[test]
     fn l8_silent_on_bounded_locks_and_non_entry_blocking() {
         let src = "\
-impl NodeServer {
-    fn on_net(&mut self, msg: Message) {
-        let w = self.writer.lock().unwrap();
-        w.enqueue(msg);
-    }
+fn send_reply(writer: &ClientWriter, frame: &[u8]) {
+    let w = writer.lock().unwrap();
+    w.enqueue(frame);
 }
 fn writer_loop(rx: &Receiver<Frame>) {
     while let Ok(f) = rx.recv() {
@@ -1860,22 +1876,24 @@ fn writer_loop(rx: &Receiver<Frame>) {
     }
 }
 ";
-        // `writer` is a declared bounded class; `writer_loop` blocks but is
-        // not an event-loop entry and is not reachable from one.
-        assert!(run_workspace_lint("no-blocking-on-event-loop", &[(SERVER, src)]).is_empty());
+        // `writer` is a declared bounded class in crates/net; `writer_loop`
+        // blocks but is not an event-loop entry and is not reachable from
+        // one.
+        let server = "crates/net/src/server.rs";
+        assert!(run_workspace_lint("no-blocking-on-event-loop", &[(server, src)]).is_empty());
     }
 
     #[test]
     fn l8_honours_allow_at_the_offending_site() {
         let src = "\
-impl NodeServer {
+impl<T: Transport, S: CommitStore> Host<T, S> {
     fn on_net(&mut self, msg: Message) {
-        // xtask-allow(no-blocking-on-event-loop): synchronous mode fsyncs inline by documented design
+        // xtask-allow(no-blocking-on-event-loop): recovery barrier, runs before the brick serves traffic
         self.store.sync_data();
     }
 }
 ";
-        assert!(run_workspace_lint("no-blocking-on-event-loop", &[(SERVER, src)]).is_empty());
+        assert!(run_workspace_lint("no-blocking-on-event-loop", &[(HOST, src)]).is_empty());
     }
 
     // ------------------------------------------------------------ L9 -------

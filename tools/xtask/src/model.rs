@@ -365,21 +365,20 @@ pub const LOCK_CLASSES: &[LockClass] = &[
 ];
 
 /// Event-loop entry points for L8, as `(file, qualified fn)`. These are
-/// the functions the single-threaded brick event loops call per event;
-/// anything blocking reachable from them stalls every client of the brick.
-/// The loops' own idle `recv`/`recv_timeout` (in `run`) is the one place
-/// blocking is the *point*, so `run` itself is not an entry.
+/// the functions the single-threaded brick host (`fab-runtime::host`, run
+/// by both the channel runtime and `fabd`) calls per event, plus the TCP
+/// reply writer its transport hands client answers to; anything blocking
+/// reachable from them stalls every client of the brick. The loop's own
+/// idle `recv`/`recv_timeout` (in `run`) is the one place blocking is the
+/// *point*, so `run` itself is not an entry.
 pub const EVENT_LOOP_ENTRIES: &[(&str, &str)] = &[
-    ("crates/net/src/server.rs", "NodeServer::on_net"),
-    ("crates/net/src/server.rs", "NodeServer::on_client"),
-    ("crates/net/src/server.rs", "NodeServer::deliver_completions"),
-    ("crates/net/src/server.rs", "NodeServer::refuse_waiting"),
-    ("crates/net/src/server.rs", "NodeServer::fence"),
+    ("crates/runtime/src/host.rs", "Host::on_net"),
+    ("crates/runtime/src/host.rs", "Host::on_client"),
+    ("crates/runtime/src/host.rs", "Host::deliver_completions"),
+    ("crates/runtime/src/host.rs", "Host::refuse_waiting"),
+    ("crates/runtime/src/host.rs", "Host::fence"),
+    ("crates/runtime/src/host.rs", "Host::load_from_store"),
     ("crates/net/src/server.rs", "send_reply"),
-    ("crates/runtime/src/lib.rs", "BrickServer::on_net"),
-    ("crates/runtime/src/lib.rs", "BrickServer::on_invoke"),
-    ("crates/runtime/src/lib.rs", "BrickServer::deliver_completions"),
-    ("crates/runtime/src/lib.rs", "BrickServer::load_from_store"),
 ];
 
 /// Method calls that block the calling thread (L8 sinks). Channel `send`
