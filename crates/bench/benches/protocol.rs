@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fab_baseline::BaselineCluster;
-use fab_core::{GcPolicy, RegisterConfig, SimCluster, StripeId};
+use fab_core::{GcPolicy, RegisterClient, RegisterConfig, SimCluster, StripeId};
 use fab_runtime::RuntimeCluster;
 use fab_simnet::SimConfig;
 use fab_timestamp::ProcessId;

@@ -24,7 +24,7 @@ fn measure(fast: bool) -> (u64, u64, u64, u64) {
     let s = StripeId(0);
     c.write_stripe(ProcessId::new(0), s, blocks(m, 1, size));
     let (done, costs) = c.measure_op(ProcessId::new(1), move |b, ctx| {
-        b.read_stripe(ctx, s);
+        b.read_stripe(ctx, s).unwrap();
     });
     assert!(matches!(done.result, OpResult::Stripe(_)));
     (

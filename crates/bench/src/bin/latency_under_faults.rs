@@ -61,7 +61,7 @@ fn measure(drop: f64, crashed: usize, ops: usize) -> (Vec<u64>, Vec<u64>, u64) {
         let at = c.sim().now();
         c.sim_mut()
             .schedule_call(at, ProcessId::new(1), move |b, ctx| {
-                b.read_stripe(ctx, s);
+                b.read_stripe(ctx, s).unwrap();
             });
         let ok = c
             .sim_mut()

@@ -124,7 +124,7 @@ pub fn measure_ours(
         let data = stripe_data(m, block_size, 1);
         c.write_stripe(pid(0), s, data);
         let (done, costs) = c.measure_op(pid(1), move |b, ctx| {
-            b.read_stripe(ctx, s);
+            b.read_stripe(ctx, s).unwrap();
         });
         assert!(
             done.result.is_ok() && !done.recovered,
@@ -173,7 +173,7 @@ pub fn measure_ours(
         c.write_stripe(pid(0), s, stripe_data(m, block_size, 1));
         inject_partial_order(&mut c, s);
         let (done, costs) = c.measure_op(pid(1), move |b, ctx| {
-            b.read_stripe(ctx, s);
+            b.read_stripe(ctx, s).unwrap();
         });
         assert!(done.result.is_ok(), "recovery must succeed: {done:?}");
         assert!(done.recovered, "must take the slow path");

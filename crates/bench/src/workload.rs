@@ -8,7 +8,7 @@
 //! — conflict probability — and measure its effect.
 
 use bytes::Bytes;
-use fab_core::{AbortReason, OpResult, RegisterConfig, SimCluster, StripeId};
+use fab_core::{AbortReason, ClientOp, OpResult, RegisterConfig, SimCluster, StripeId};
 use fab_simnet::SimConfig;
 use fab_timestamp::ProcessId;
 use rand::rngs::SmallRng;
@@ -77,6 +77,22 @@ impl Op {
     /// Whether this is a write.
     pub fn is_write(&self) -> bool {
         matches!(self, Op::WriteStripe(..) | Op::WriteBlock(..))
+    }
+
+    /// The register operation to invoke, payloads expanded from their
+    /// seeds for an `m`-block stripe of `block_size`-byte blocks.
+    pub fn client_op(&self, m: usize, block_size: usize) -> ClientOp {
+        match *self {
+            Op::ReadStripe(s) => ClientOp::read_stripe(s),
+            Op::WriteStripe(s, seed) => {
+                let block = |i| Bytes::from(vec![seed.wrapping_add(i as u8); block_size]);
+                ClientOp::write_stripe(s, (0..m).map(block).collect())
+            }
+            Op::ReadBlock(s, j) => ClientOp::read_block(s, j),
+            Op::WriteBlock(s, j, seed) => {
+                ClientOp::write_block(s, j, Bytes::from(vec![seed; block_size]))
+            }
+        }
     }
 }
 
@@ -150,28 +166,11 @@ pub fn drive_concurrent(
         let at = cluster.sim().now();
         for (slot, op) in batch.iter().enumerate() {
             let coordinator = ProcessId::new((slot % n) as u32);
-            let op = op.clone();
-            let bs = block_size;
+            let op = op.client_op(m, block_size);
             cluster
                 .sim_mut()
-                .schedule_call(at, coordinator, move |brick, ctx| match op {
-                    Op::ReadStripe(s) => {
-                        brick.read_stripe(ctx, s);
-                    }
-                    Op::WriteStripe(s, seed) => {
-                        let blocks: Vec<Bytes> = (0..m)
-                            .map(|i| Bytes::from(vec![seed.wrapping_add(i as u8); bs]))
-                            .collect();
-                        brick.write_stripe(ctx, s, blocks).unwrap();
-                    }
-                    Op::ReadBlock(s, j) => {
-                        brick.read_block(ctx, s, j).unwrap();
-                    }
-                    Op::WriteBlock(s, j, seed) => {
-                        brick
-                            .write_block(ctx, s, j, Bytes::from(vec![seed; bs]))
-                            .unwrap();
-                    }
+                .schedule_call(at, coordinator, move |brick, ctx| {
+                    brick.invoke(ctx, op).unwrap();
                 });
         }
         cluster.sim_mut().run_until_idle();

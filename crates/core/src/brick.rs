@@ -10,6 +10,7 @@
 //! run one operation to completion, inject crashes and partitions, and
 //! account per-operation network/disk costs (for Table 1).
 
+use crate::client::{ClientError, ClientOp};
 use crate::config::RegisterConfig;
 use crate::coordinator::{Completion, Coordinator, InvokeError, OpId, OpResult};
 use crate::effects::Effects;
@@ -20,7 +21,9 @@ use fab_simnet::{Actor, Context, NetMetrics, SimConfig, SimTime, Simulation, Tim
 use fab_timestamp::ProcessId;
 // BTreeMap, not HashMap: brick state iteration (metrics, crash handling)
 // must be deterministic across runs for reproducible simulations.
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Adapter exposing a simulator [`Context`] as protocol [`Effects`].
@@ -130,48 +133,49 @@ impl Brick {
         total
     }
 
-    /// Starts a `read-stripe` through this brick's coordinator.
-    pub fn read_stripe(&mut self, ctx: &mut Context<'_, Envelope>, stripe: StripeId) -> OpId {
-        let mut fx = CtxFx { ctx };
-        self.coordinator.invoke_read_stripe(&mut fx, stripe)
-    }
-
-    /// Starts a `write-stripe` through this brick's coordinator.
+    /// Starts `op` through this brick's coordinator.
     ///
     /// # Errors
     ///
-    /// Propagates [`InvokeError`] for malformed stripes.
+    /// Propagates [`InvokeError`] for malformed operations.
+    pub fn invoke(
+        &mut self,
+        ctx: &mut Context<'_, Envelope>,
+        op: ClientOp,
+    ) -> Result<OpId, InvokeError> {
+        self.coordinator.invoke(&mut CtxFx { ctx }, op)
+    }
+
+    /// Sugar for [`Brick::invoke`] of a `read-stripe`.
+    pub fn read_stripe(
+        &mut self,
+        ctx: &mut Context<'_, Envelope>,
+        stripe: StripeId,
+    ) -> Result<OpId, InvokeError> {
+        self.invoke(ctx, ClientOp::read_stripe(stripe))
+    }
+
+    /// Sugar for [`Brick::invoke`] of a `write-stripe`.
     pub fn write_stripe(
         &mut self,
         ctx: &mut Context<'_, Envelope>,
         stripe: StripeId,
         blocks: Vec<Bytes>,
     ) -> Result<OpId, InvokeError> {
-        let mut fx = CtxFx { ctx };
-        self.coordinator
-            .invoke_write_stripe(&mut fx, stripe, blocks)
+        self.invoke(ctx, ClientOp::write_stripe(stripe, blocks))
     }
 
-    /// Starts a `read-block` through this brick's coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InvokeError`] for out-of-range indices.
+    /// Sugar for [`Brick::invoke`] of a `read-block`.
     pub fn read_block(
         &mut self,
         ctx: &mut Context<'_, Envelope>,
         stripe: StripeId,
         j: usize,
     ) -> Result<OpId, InvokeError> {
-        let mut fx = CtxFx { ctx };
-        self.coordinator.invoke_read_block(&mut fx, stripe, j)
+        self.invoke(ctx, ClientOp::read_block(stripe, j))
     }
 
-    /// Starts a `write-block` through this brick's coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InvokeError`] for malformed blocks.
+    /// Sugar for [`Brick::invoke`] of a `write-block`.
     pub fn write_block(
         &mut self,
         ctx: &mut Context<'_, Envelope>,
@@ -179,49 +183,7 @@ impl Brick {
         j: usize,
         block: Bytes,
     ) -> Result<OpId, InvokeError> {
-        let mut fx = CtxFx { ctx };
-        self.coordinator
-            .invoke_write_block(&mut fx, stripe, j, block)
-    }
-
-    /// Starts a multi-block read through this brick's coordinator
-    /// (footnote-2 extension).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InvokeError`] for malformed index sets.
-    pub fn read_blocks(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        stripe: StripeId,
-        js: Vec<usize>,
-    ) -> Result<OpId, InvokeError> {
-        let mut fx = CtxFx { ctx };
-        self.coordinator.invoke_read_blocks(&mut fx, stripe, js)
-    }
-
-    /// Starts a scrub (recover + write back to everyone) through this
-    /// brick's coordinator.
-    pub fn scrub(&mut self, ctx: &mut Context<'_, Envelope>, stripe: StripeId) -> OpId {
-        let mut fx = CtxFx { ctx };
-        self.coordinator.invoke_scrub(&mut fx, stripe)
-    }
-
-    /// Starts a multi-block write through this brick's coordinator
-    /// (footnote-2 extension).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InvokeError`] for malformed updates.
-    pub fn write_blocks(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        stripe: StripeId,
-        updates: Vec<(usize, Bytes)>,
-    ) -> Result<OpId, InvokeError> {
-        let mut fx = CtxFx { ctx };
-        self.coordinator
-            .invoke_write_blocks(&mut fx, stripe, updates)
+        self.invoke(ctx, ClientOp::write_block(stripe, j, block))
     }
 }
 
@@ -381,62 +343,89 @@ impl SimCluster {
         self.sim.metrics()
     }
 
-    /// Schedules an operation at the current time on `coordinator` and
-    /// runs the simulation until it completes. Panics if the deadline
-    /// passes first (only possible outside the fault model).
-    fn run_op<F>(&mut self, coordinator: ProcessId, invoke: F) -> Completion
+    /// Schedules `call` at the current time on `coordinator` and runs the
+    /// simulation until it yields a completion. `call` reports whether the
+    /// coordinator accepted its invocation: a rejected one is
+    /// [`ClientError::InvalidRequest`], and one that has not completed by
+    /// the deadline (a crashed coordinator, more than f faults) is
+    /// [`ClientError::Unavailable`].
+    fn run_op<F>(&mut self, coordinator: ProcessId, call: F) -> Result<Completion, ClientError>
     where
-        F: FnOnce(&mut Brick, &mut Context<'_, Envelope>) + 'static,
+        F: FnOnce(&mut Brick, &mut Context<'_, Envelope>) -> bool + 'static,
     {
         let already = self.sim.actor(coordinator).completions.len();
+        let accepted = Rc::new(Cell::new(true));
+        let verdict = Rc::clone(&accepted);
         let at = self.sim.now();
-        self.sim.schedule_call(at, coordinator, invoke);
-        let deadline = self.sim.now() + self.op_deadline;
+        self.sim
+            .schedule_call(at, coordinator, move |b, ctx| verdict.set(call(b, ctx)));
         let done = self
             .sim
-            .run_until_actor(coordinator, deadline, |b| b.completions.len() > already);
-        assert!(
-            done,
-            "operation did not complete by the deadline — more than f faults?"
-        );
-        self.sim.actor_mut(coordinator).completions.remove(already)
+            .run_until_actor(coordinator, at + self.op_deadline, |b| {
+                !accepted.get() || b.completions.len() > already
+            });
+        if !accepted.get() {
+            Err(ClientError::InvalidRequest)
+        } else if done {
+            Ok(self.sim.actor_mut(coordinator).completions.remove(already))
+        } else {
+            Err(ClientError::Unavailable)
+        }
+    }
+
+    /// Runs `op` to completion via `coordinator`, returning the full
+    /// [`Completion`] (timing and the `recovered` flag included).
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::InvalidRequest`] if the coordinator rejects `op` as
+    /// malformed; [`ClientError::Unavailable`] if it has not completed by
+    /// [`SimCluster::op_deadline`].
+    pub fn complete(
+        &mut self,
+        coordinator: ProcessId,
+        op: ClientOp,
+    ) -> Result<Completion, ClientError> {
+        self.run_op(coordinator, move |b, ctx| b.invoke(ctx, op).is_ok())
+    }
+
+    /// Runs `op` to completion via `coordinator`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimCluster::complete`].
+    pub fn invoke(
+        &mut self,
+        coordinator: ProcessId,
+        op: ClientOp,
+    ) -> Result<OpResult, ClientError> {
+        self.complete(coordinator, op).map(|c| c.result)
+    }
+
+    /// [`SimCluster::invoke`] for the typed sugar below, which panics
+    /// instead of returning a [`ClientError`].
+    fn run(&mut self, coordinator: ProcessId, op: ClientOp) -> OpResult {
+        expect_done(self.invoke(coordinator, op))
     }
 
     /// Runs a `read-stripe` to completion via `coordinator`.
     pub fn read_stripe(&mut self, coordinator: ProcessId, stripe: StripeId) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            b.read_stripe(ctx, stripe);
-        })
-        .result
+        self.run(coordinator, ClientOp::read_stripe(stripe))
     }
 
     /// Runs a `write-stripe` to completion via `coordinator`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed input (see [`Coordinator::invoke_write_stripe`]).
     pub fn write_stripe(
         &mut self,
         coordinator: ProcessId,
         stripe: StripeId,
         blocks: Vec<Bytes>,
     ) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            // Harness-only input validation; the protocol path returns InvokeError.
-            // xtask-allow(no-panic): test-harness convenience wrapper, not a protocol path
-            b.write_stripe(ctx, stripe, blocks).expect("valid stripe");
-        })
-        .result
+        self.run(coordinator, ClientOp::write_stripe(stripe, blocks))
     }
 
     /// Runs a `read-block` to completion via `coordinator`.
     pub fn read_block(&mut self, coordinator: ProcessId, stripe: StripeId, j: usize) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            // Harness-only input validation; the protocol path returns InvokeError.
-            // xtask-allow(no-panic): test-harness convenience wrapper, not a protocol path
-            b.read_block(ctx, stripe, j).expect("valid block index");
-        })
-        .result
+        self.run(coordinator, ClientOp::read_block(stripe, j))
     }
 
     /// Runs a `write-block` to completion via `coordinator`.
@@ -447,12 +436,7 @@ impl SimCluster {
         j: usize,
         block: Bytes,
     ) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            // Harness-only input validation; the protocol path returns InvokeError.
-            // xtask-allow(no-panic): test-harness convenience wrapper, not a protocol path
-            b.write_block(ctx, stripe, j, block).expect("valid block");
-        })
-        .result
+        self.run(coordinator, ClientOp::write_block(stripe, j, block))
     }
 
     /// Runs a multi-block read to completion via `coordinator`.
@@ -462,49 +446,7 @@ impl SimCluster {
         stripe: StripeId,
         js: Vec<usize>,
     ) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            // Harness-only input validation; the protocol path returns InvokeError.
-            // xtask-allow(no-panic): test-harness convenience wrapper, not a protocol path
-            b.read_blocks(ctx, stripe, js).expect("valid index set");
-        })
-        .result
-    }
-
-    /// Runs a scrub to completion via `coordinator`, returning the
-    /// (re-established) current stripe value.
-    pub fn scrub(&mut self, coordinator: ProcessId, stripe: StripeId) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            b.scrub(ctx, stripe);
-        })
-        .result
-    }
-
-    /// Like [`SimCluster::scrub`] but returns the full [`Completion`]
-    /// (with timing and the `recovered` flag).
-    pub fn scrub_completion(&mut self, coordinator: ProcessId, stripe: StripeId) -> Completion {
-        self.run_op(coordinator, move |b, ctx| {
-            b.scrub(ctx, stripe);
-        })
-    }
-
-    /// Like [`SimCluster::read_stripe`] but returns the full
-    /// [`Completion`], so callers can observe whether the read took the
-    /// recovery path (`Completion::recovered`).
-    pub fn read_stripe_completion(
-        &mut self,
-        coordinator: ProcessId,
-        stripe: StripeId,
-    ) -> Completion {
-        self.run_op(coordinator, move |b, ctx| {
-            b.read_stripe(ctx, stripe);
-        })
-    }
-
-    /// Wipes `pid`'s entire brick state — the replaced-disk model (see
-    /// [`Brick::wipe`]). The brick keeps running; repair must rebuild
-    /// its registers from the rest of the segment group.
-    pub fn wipe(&mut self, pid: ProcessId) {
-        self.sim.actor_mut(pid).wipe();
+        self.run(coordinator, ClientOp::read_blocks(stripe, js))
     }
 
     /// Runs a multi-block write to completion via `coordinator`.
@@ -514,23 +456,39 @@ impl SimCluster {
         stripe: StripeId,
         updates: Vec<(usize, Bytes)>,
     ) -> OpResult {
-        self.run_op(coordinator, move |b, ctx| {
-            // Harness-only input validation; the protocol path returns InvokeError.
-            // xtask-allow(no-panic): test-harness convenience wrapper, not a protocol path
-            b.write_blocks(ctx, stripe, updates).expect("valid updates");
-        })
-        .result
+        self.run(coordinator, ClientOp::write_blocks(stripe, updates))
+    }
+
+    /// Runs a scrub to completion via `coordinator`, returning the
+    /// (re-established) current stripe value.
+    pub fn scrub(&mut self, coordinator: ProcessId, stripe: StripeId) -> OpResult {
+        self.run(coordinator, ClientOp::scrub(stripe))
+    }
+
+    /// Wipes `pid`'s entire brick state — the replaced-disk model (see
+    /// [`Brick::wipe`]). The brick keeps running; repair must rebuild
+    /// its registers from the rest of the segment group.
+    pub fn wipe(&mut self, pid: ProcessId) {
+        self.sim.actor_mut(pid).wipe();
     }
 
     /// Runs an operation and attributes its latency, messages, bytes, and
     /// disk I/O (a measured Table 1 row). The cluster must be quiescent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `invoke` starts no operation that completes by the
+    /// deadline.
     pub fn measure_op<F>(&mut self, coordinator: ProcessId, invoke: F) -> (Completion, OpCosts)
     where
         F: FnOnce(&mut Brick, &mut Context<'_, Envelope>) + 'static,
     {
         let net0 = self.sim.metrics();
         let disk0 = self.disk_metrics();
-        let completion = self.run_op(coordinator, invoke);
+        let completion = expect_done(self.run_op(coordinator, move |b, ctx| {
+            invoke(b, ctx);
+            true
+        }));
         // Let trailing replies/GC land so counters settle.
         self.sim.run_until_idle();
         let net = self.sim.metrics().since(&net0);
@@ -556,6 +514,14 @@ impl SimCluster {
         }
         out
     }
+}
+
+/// The contract of [`SimCluster`]'s typed sugar and `measure_op`: harness
+/// conveniences that panic on malformed input or a missed deadline
+/// ([`SimCluster::invoke`] is the typed path).
+fn expect_done<T>(outcome: Result<T, ClientError>) -> T {
+    // xtask-allow(no-panic): harness sugar panics by contract; SimCluster::invoke is the typed path
+    outcome.expect("operation rejected, or not complete by the deadline — more than f faults?")
 }
 
 #[cfg(test)]
@@ -869,30 +835,50 @@ mod tests {
         }
     }
 
+    /// Malformed operations are a typed `InvalidRequest` from `invoke`
+    /// (only the typed sugar panics) and leave nothing in flight.
     #[test]
-    fn multi_block_rejects_bad_sets() {
+    fn malformed_ops_are_invalid_requests() {
         let mut c = cluster(3, 5);
-        let at = c.sim().now();
-        c.sim_mut().schedule_call(at, pid(0), |b, ctx| {
-            // Out of range.
-            assert!(b.read_blocks(ctx, StripeId(0), vec![0, 3]).is_err());
-            // Duplicate.
-            assert!(b.read_blocks(ctx, StripeId(0), vec![1, 1]).is_err());
-            // Empty.
-            assert!(b.read_blocks(ctx, StripeId(0), vec![]).is_err());
-            // Duplicate write indices.
-            assert!(b
-                .write_blocks(
-                    ctx,
-                    StripeId(0),
-                    vec![
-                        (1, Bytes::from(vec![0u8; 16])),
-                        (1, Bytes::from(vec![0u8; 16]))
-                    ]
-                )
-                .is_err());
-        });
-        c.sim_mut().run_until_idle();
+        let s = StripeId(0);
+        let block = || Bytes::from(vec![0u8; 16]);
+        let malformed = [
+            ClientOp::read_blocks(s, vec![0, 3]), // out of range
+            ClientOp::read_blocks(s, vec![1, 1]), // duplicate
+            ClientOp::read_blocks(s, vec![2, 0]), // unsorted
+            ClientOp::read_blocks(s, vec![]),     // empty
+            ClientOp::write_blocks(s, vec![(1, block()), (1, block())]),
+            ClientOp::read_block(s, 3),
+            ClientOp::write_block(s, 0, Bytes::from(vec![0u8; 15])),
+            ClientOp::write_stripe(s, vec![block(); 2]),
+        ];
+        for op in malformed {
+            let name = op.name();
+            assert_eq!(
+                c.invoke(pid(0), op),
+                Err(ClientError::InvalidRequest),
+                "{name}"
+            );
+        }
+        assert_eq!(c.sim().actor(pid(0)).coordinator.in_flight(), 0);
+        // Still serving: the rejections scheduled nothing.
+        assert_eq!(c.read_stripe(pid(0), s), OpResult::Stripe(StripeValue::Nil));
+    }
+
+    /// An operation that cannot finish — its coordinator is down, or more
+    /// than f bricks are — is `Unavailable` at the deadline, not a panic.
+    #[test]
+    fn unfinishable_ops_are_unavailable() {
+        let mut c = cluster(2, 4); // quorum 3
+        c.op_deadline = 20_000;
+        for i in 1..4 {
+            c.sim_mut().schedule_crash(0, pid(i));
+        }
+        c.sim_mut().run_until(1);
+        let s = StripeId(0);
+        let unavailable = Err(ClientError::Unavailable);
+        assert_eq!(c.invoke(pid(1), ClientOp::scrub(s)), unavailable);
+        assert_eq!(c.invoke(pid(0), ClientOp::read_stripe(s)), unavailable);
     }
 
     #[test]
@@ -933,14 +919,14 @@ mod tests {
             c.write_block(pid(1), s, 0, Bytes::from(vec![9u8; 16])),
             OpResult::Written
         );
-        let fast = c.read_stripe_completion(pid(2), s);
+        let fast = c.complete(pid(2), ClientOp::read_stripe(s)).unwrap();
         assert!(!fast.recovered, "ideal-network read should be fast path");
         c.scrub(pid(3), s);
         // Wipe a brick and read again: whatever path that read takes,
         // the instruments must agree with the completion's own flag —
         // the same reconciliation the torture probe runs at scale.
         c.wipe(pid(3));
-        let post = c.read_stripe_completion(pid(0), s);
+        let post = c.complete(pid(0), ClientOp::read_stripe(s)).unwrap();
         let (fastpath, recovered) = metrics.reads();
         let expect_recovered = u64::from(post.recovered);
         assert_eq!(recovered, expect_recovered);
@@ -1046,7 +1032,7 @@ mod tests {
         // Post-repair reads complete without the recovery path, even
         // when coordinated by the previously wiped brick.
         for &s in &written {
-            let done = c.read_stripe_completion(victim, s);
+            let done = c.complete(victim, ClientOp::read_stripe(s)).unwrap();
             assert!(
                 !done.recovered,
                 "stripe {s:?} still degraded after scrub-rebuild"

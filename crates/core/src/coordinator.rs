@@ -25,6 +25,7 @@
 //! strict-linearizability guarantee that a partial write appears to take
 //! effect before the crash or not at all.
 
+use crate::client::{block_index, ClientOp};
 use crate::config::{GcPolicy, RegisterConfig, WriteStrategy};
 use crate::effects::{sample_processes, Effects};
 use crate::error::ProtocolError;
@@ -231,8 +232,8 @@ struct Op {
 
 /// The per-brick operation coordinator.
 ///
-/// See the [module docs](self) for the operation flow. Drivers call the
-/// four `invoke_*` methods to start operations, feed network input through
+/// See the [module docs](self) for the operation flow. Drivers call
+/// [`Coordinator::invoke`] to start operations, feed network input through
 /// [`Coordinator::on_reply`] and [`Coordinator::on_timer`], and collect
 /// results with [`Coordinator::drain_completions`].
 #[derive(Debug)]
@@ -367,8 +368,48 @@ impl Coordinator {
     // Invocations (Alg. 1 lines 1–23, Alg. 3 lines 61–87)
     // ------------------------------------------------------------------
 
-    /// Starts a `read-stripe` operation (Alg. 1 line 1).
-    pub fn invoke_read_stripe(&mut self, fx: &mut dyn Effects, stripe: StripeId) -> OpId {
+    /// Starts `op` — the single entry point of the register's client
+    /// interface, and the only dispatch on [`ClientOp`]'s variants outside
+    /// the wire codec.
+    ///
+    /// # Errors
+    ///
+    /// Rejects, before any messaging, a stripe that is not exactly m blocks
+    /// of `block_size` bytes, block indices outside `0..m`, an empty or
+    /// repeated index set (unsorted, for reads), and blocks of the wrong
+    /// size.
+    pub fn invoke(&mut self, fx: &mut dyn Effects, op: ClientOp) -> Result<OpId, InvokeError> {
+        match op {
+            ClientOp::ReadStripe { stripe } => Ok(self.start_read_stripe(fx, stripe)),
+            ClientOp::WriteStripe { stripe, blocks } => self.start_write_stripe(fx, stripe, blocks),
+            ClientOp::ReadBlock { stripe, j } => {
+                self.start_read_blocks(fx, stripe, vec![block_index(j)], true)
+            }
+            ClientOp::WriteBlock { stripe, j, block } => {
+                self.start_write_blocks(fx, stripe, vec![(block_index(j), block)])
+            }
+            ClientOp::ReadBlocks { stripe, js } => {
+                let js = js.into_iter().map(block_index).collect();
+                self.start_read_blocks(fx, stripe, js, false)
+            }
+            ClientOp::WriteBlocks { stripe, updates } => {
+                let updates = updates
+                    .into_iter()
+                    .map(|(j, b)| (block_index(j), b))
+                    .collect();
+                self.start_write_blocks(fx, stripe, updates)
+            }
+            // A scrub is a forced recovery pass: it reads the current
+            // version and writes it back at a fresh timestamp to all n
+            // processes, so replicas that missed writes (a recovered or
+            // replacement brick) hold the current version again and fast
+            // reads through them work.
+            ClientOp::Scrub { stripe } => Ok(self.start_recovery_read(fx, stripe, OpKind::Scrub)),
+        }
+    }
+
+    /// `read-stripe` (Alg. 1 line 1).
+    fn start_read_stripe(&mut self, fx: &mut dyn Effects, stripe: StripeId) -> OpId {
         if !self.cfg.enable_fast_read {
             return self.start_recovery_read(fx, stripe, OpKind::ReadStripe);
         }
@@ -381,8 +422,9 @@ impl Coordinator {
         self.start_op(fx, stripe, kind, None, phase, outgoing, false)
     }
 
-    /// Starts a read that goes straight to the recovery path (used when
-    /// the fast path is disabled for ablation).
+    /// Starts an operation on the recovery path: a scrub, or a read when
+    /// the fast path is disabled for ablation. Either way it counts as
+    /// recovered.
     fn start_recovery_read(
         &mut self,
         fx: &mut dyn Effects,
@@ -408,45 +450,12 @@ impl Coordinator {
                 iteration: 0,
             },
             outgoing,
-            true, // counts as recovered: it skipped the fast path
+            true,
         )
     }
 
-    /// Starts a scrub: a forced recovery pass that reads the current
-    /// version and writes it back at a fresh timestamp. The write-back is
-    /// broadcast to all n processes, so replicas that missed writes (a
-    /// recovered brick, a replacement brick) end up holding the current
-    /// version locally and fast reads through them work again.
-    pub fn invoke_scrub(&mut self, fx: &mut dyn Effects, stripe: StripeId) -> OpId {
-        let ts = self.ts_gen.next(fx.now());
-        let outgoing = vec![
-            Request::OrderRead {
-                target: BlockTarget::All,
-                below: Timestamp::HIGH,
-                ts,
-            };
-            self.cfg.n()
-        ];
-        self.start_op(
-            fx,
-            stripe,
-            OpKind::Scrub,
-            Some(ts),
-            Phase::RecoverOrderRead {
-                bound: Timestamp::HIGH,
-                iteration: 0,
-            },
-            outgoing,
-            true, // a scrub is by definition a recovery pass
-        )
-    }
-
-    /// Starts a `write-stripe` operation (Alg. 1 line 12).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a stripe that is not exactly m blocks of `block_size` bytes.
-    pub fn invoke_write_stripe(
+    /// `write-stripe` (Alg. 1 line 12).
+    fn start_write_stripe(
         &mut self,
         fx: &mut dyn Effects,
         stripe: StripeId,
@@ -479,35 +488,8 @@ impl Coordinator {
         ))
     }
 
-    /// Starts a `read-block` operation (Alg. 3 line 61).
-    ///
-    /// # Errors
-    ///
-    /// Rejects block indices outside `0..m`.
-    pub fn invoke_read_block(
-        &mut self,
-        fx: &mut dyn Effects,
-        stripe: StripeId,
-        j: usize,
-    ) -> Result<OpId, InvokeError> {
-        self.start_read_blocks(fx, stripe, vec![j], true)
-    }
-
-    /// Starts a multi-block read (the footnote-2 extension): returns the
-    /// listed data blocks as of one consistent version.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty list, repeated indices, or indices outside `0..m`.
-    pub fn invoke_read_blocks(
-        &mut self,
-        fx: &mut dyn Effects,
-        stripe: StripeId,
-        js: Vec<usize>,
-    ) -> Result<OpId, InvokeError> {
-        self.start_read_blocks(fx, stripe, js, false)
-    }
-
+    /// `read-block` (Alg. 3 line 61) and its footnote-2 multi-block form:
+    /// the listed data blocks as of one consistent version.
     fn start_read_blocks(
         &mut self,
         fx: &mut dyn Effects,
@@ -537,37 +519,8 @@ impl Coordinator {
         ))
     }
 
-    /// Starts a `write-block` operation (Alg. 3 line 70).
-    ///
-    /// # Errors
-    ///
-    /// Rejects block indices outside `0..m` and blocks of the wrong size.
-    pub fn invoke_write_block(
-        &mut self,
-        fx: &mut dyn Effects,
-        stripe: StripeId,
-        j: usize,
-        block: Bytes,
-    ) -> Result<OpId, InvokeError> {
-        self.start_write_blocks(fx, stripe, vec![(j, block)])
-    }
-
-    /// Starts a multi-block write (the footnote-2 extension): writes the
-    /// listed data blocks atomically as one register operation.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty list, repeated indices, indices outside `0..m`,
-    /// and blocks of the wrong size.
-    pub fn invoke_write_blocks(
-        &mut self,
-        fx: &mut dyn Effects,
-        stripe: StripeId,
-        updates: Vec<(usize, Bytes)>,
-    ) -> Result<OpId, InvokeError> {
-        self.start_write_blocks(fx, stripe, updates)
-    }
-
+    /// `write-block` (Alg. 3 line 70) and its footnote-2 multi-block form:
+    /// the listed data blocks written atomically as one register operation.
     fn start_write_blocks(
         &mut self,
         fx: &mut dyn Effects,
@@ -972,7 +925,7 @@ impl Coordinator {
         }
         let Some(ts) = op.ts else {
             // Every recovery pass assigns a timestamp on entry
-            // (`begin_recovery`, `start_recovery_read`, `invoke_scrub`).
+            // (`begin_recovery`, `start_recovery_read`).
             self.record_error(ProtocolError::MissingTimestamp(op_id));
             self.complete(fx, op_id, OpResult::Aborted(AbortReason::Internal));
             return;
@@ -1626,7 +1579,7 @@ mod tests {
     fn read_stripe_broadcasts_read_to_all() {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
-        let _op = c.invoke_read_stripe(&mut fx, stripe0());
+        let _op = c.invoke(&mut fx, ClientOp::read_stripe(stripe0()));
         assert_eq!(fx.sent.len(), 4);
         let mut target_count = 0;
         for (to, env) in &fx.sent {
@@ -1649,16 +1602,14 @@ mod tests {
     fn write_stripe_validates_input() {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
+        let one = vec![Bytes::from(vec![0u8; 8])];
         let err = c
-            .invoke_write_stripe(&mut fx, stripe0(), vec![Bytes::from(vec![0u8; 8])])
+            .invoke(&mut fx, ClientOp::write_stripe(stripe0(), one))
             .unwrap_err();
         assert!(matches!(err, InvokeError::WrongBlockCount { .. }));
+        let short = vec![Bytes::from(vec![0u8; 3]), Bytes::from(vec![0u8; 3])];
         let err = c
-            .invoke_write_stripe(
-                &mut fx,
-                stripe0(),
-                vec![Bytes::from(vec![0u8; 3]), Bytes::from(vec![0u8; 3])],
-            )
+            .invoke(&mut fx, ClientOp::write_stripe(stripe0(), short))
             .unwrap_err();
         assert!(matches!(err, InvokeError::WrongBlockSize { .. }));
         assert_eq!(c.in_flight(), 0);
@@ -1669,11 +1620,12 @@ mod tests {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
         assert!(matches!(
-            c.invoke_read_block(&mut fx, stripe0(), 2),
+            c.invoke(&mut fx, ClientOp::read_block(stripe0(), 2)),
             Err(InvokeError::BlockOutOfRange { index: 2, bound: 2 })
         ));
+        let block = Bytes::from(vec![0u8; 8]);
         assert!(matches!(
-            c.invoke_write_block(&mut fx, stripe0(), 5, Bytes::from(vec![0u8; 8])),
+            c.invoke(&mut fx, ClientOp::write_block(stripe0(), 5, block)),
             Err(InvokeError::BlockOutOfRange { .. })
         ));
     }
@@ -1683,7 +1635,9 @@ mod tests {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
         let blocks = vec![Bytes::from(vec![1u8; 8]), Bytes::from(vec![2u8; 8])];
-        let _op = c.invoke_write_stripe(&mut fx, stripe0(), blocks).unwrap();
+        let _op = c
+            .invoke(&mut fx, ClientOp::write_stripe(stripe0(), blocks))
+            .unwrap();
         // Phase 1: Order to all 4.
         assert_eq!(fx.sent.len(), 4);
         let round = match &fx.sent[0].1.kind {
@@ -1758,7 +1712,8 @@ mod tests {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
         let blocks = vec![Bytes::from(vec![1u8; 8]), Bytes::from(vec![2u8; 8])];
-        c.invoke_write_stripe(&mut fx, stripe0(), blocks).unwrap();
+        c.invoke(&mut fx, ClientOp::write_stripe(stripe0(), blocks))
+            .unwrap();
         let round = fx.sent[0].1.round;
         for (i, status) in [(0u32, true), (1, false), (2, true)] {
             c.on_reply(
@@ -1784,7 +1739,8 @@ mod tests {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
         let blocks = vec![Bytes::from(vec![1u8; 8]), Bytes::from(vec![2u8; 8])];
-        c.invoke_write_stripe(&mut fx, stripe0(), blocks).unwrap();
+        c.invoke(&mut fx, ClientOp::write_stripe(stripe0(), blocks))
+            .unwrap();
         let round = fx.sent[0].1.round;
         let reply = |status| Envelope {
             stripe: stripe0(),
@@ -1821,7 +1777,7 @@ mod tests {
     fn retransmit_timer_resends_to_missing_only() {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
-        c.invoke_read_stripe(&mut fx, stripe0());
+        c.invoke(&mut fx, ClientOp::read_stripe(stripe0())).unwrap();
         let round = fx.sent[0].1.round;
         fx.sent.clear();
         // One reply arrives, then the retransmit timer fires.
@@ -1855,7 +1811,7 @@ mod tests {
     fn coordinator_crash_forgets_in_flight_ops() {
         let mut fx = MockFx::default();
         let mut c = Coordinator::new(ProcessId::new(0), cfg(2, 4));
-        c.invoke_read_stripe(&mut fx, stripe0());
+        c.invoke(&mut fx, ClientOp::read_stripe(stripe0())).unwrap();
         assert_eq!(c.in_flight(), 1);
         c.on_crash();
         assert_eq!(c.in_flight(), 0);

@@ -22,6 +22,9 @@
 //!   (reads with a one-round fast path, two-phase writes, recovery that
 //!   rolls partial writes forward or back, §5.1 garbage collection, §5.2
 //!   write optimizations),
+//! * [`client`] — the register's client interface: the operation
+//!   vocabulary ([`ClientOp`]), typed refusals ([`ClientError`]) and the
+//!   one-method [`RegisterClient`] every substrate's client implements,
 //! * [`effects`] — the sans-io driver interface,
 //! * [`error`] — typed invariant-violation reporting (protocol code never
 //!   panics; see `cargo xtask analyze`),
@@ -54,6 +57,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod brick;
+pub mod client;
 pub mod config;
 pub mod coordinator;
 pub mod effects;
@@ -66,6 +70,7 @@ pub mod trace;
 pub mod value;
 
 pub use brick::{Brick, OpCosts, SimCluster};
+pub use client::{ClientError, ClientOp, RegisterClient};
 pub use config::{ConfigError, GcPolicy, RegisterConfig, WriteStrategy};
 pub use coordinator::{AbortReason, Completion, Coordinator, InvokeError, OpId, OpResult};
 pub use effects::Effects;

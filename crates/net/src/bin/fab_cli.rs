@@ -34,7 +34,9 @@
 //! execution so the error paths are unit-testable without sockets.
 
 use bytes::Bytes;
-use fab_core::{BlockValue, OpResult, RegisterConfig, StripeId, StripeValue};
+use fab_core::{
+    BlockValue, ClientOp, OpResult, RegisterClient, RegisterConfig, StripeId, StripeValue,
+};
 use fab_net::NetClient;
 use fab_wire::{AdminOp, AdminResponse, RepairProgress};
 use std::net::SocketAddr;
@@ -74,11 +76,8 @@ enum RepairTarget {
 /// The operation to run against the cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Command {
-    WriteStripe { stripe: StripeId, text: String },
-    ReadStripe { stripe: StripeId },
-    WriteBlock { stripe: StripeId, j: usize, text: String },
-    ReadBlock { stripe: StripeId, j: usize },
-    Scrub { stripe: StripeId },
+    /// A register operation, payloads already padded to the block size.
+    Data(ClientOp),
     Repair {
         target: RepairTarget,
         stripes: u64,
@@ -96,6 +95,14 @@ fn pad(text: &str, len: usize) -> Bytes {
     let mut buf = text.as_bytes().to_vec();
     buf.resize(len, 0);
     Bytes::from(buf)
+}
+
+/// `text` zero-padded and spread across a stripe's m·block_size bytes.
+fn stripe_text(text: &str, m: usize, block_size: usize) -> Vec<Bytes> {
+    let full = pad(text, m * block_size);
+    (0..m)
+        .map(|j| full.slice(j * block_size..(j + 1) * block_size))
+        .collect()
 }
 
 fn print_block(j: usize, v: &BlockValue) {
@@ -267,25 +274,21 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
         [cmd] if cmd.as_str() == "repair-status" => Command::RepairStatus { node },
         [cmd] if cmd.as_str() == "repair-abort" => Command::RepairAbort { node },
         [cmd] if cmd.as_str() == "stats" => Command::Stats { node, watch },
-        [cmd, stripe, text] if cmd.as_str() == "write-stripe" => Command::WriteStripe {
-            stripe: stripe_arg(stripe)?,
-            text: (*text).clone(),
-        },
-        [cmd, stripe] if cmd.as_str() == "read-stripe" => Command::ReadStripe {
-            stripe: stripe_arg(stripe)?,
-        },
-        [cmd, stripe, j, text] if cmd.as_str() == "write-block" => Command::WriteBlock {
-            stripe: stripe_arg(stripe)?,
-            j: index_arg(j)?,
-            text: (*text).clone(),
-        },
-        [cmd, stripe, j] if cmd.as_str() == "read-block" => Command::ReadBlock {
-            stripe: stripe_arg(stripe)?,
-            j: index_arg(j)?,
-        },
-        [cmd, stripe] if cmd.as_str() == "scrub" => Command::Scrub {
-            stripe: stripe_arg(stripe)?,
-        },
+        [cmd, stripe, text] if cmd.as_str() == "write-stripe" => Command::Data(
+            ClientOp::write_stripe(stripe_arg(stripe)?, stripe_text(text, m, block_size)),
+        ),
+        [cmd, stripe] if cmd.as_str() == "read-stripe" => {
+            Command::Data(ClientOp::read_stripe(stripe_arg(stripe)?))
+        }
+        [cmd, stripe, j, text] if cmd.as_str() == "write-block" => Command::Data(
+            ClientOp::write_block(stripe_arg(stripe)?, index_arg(j)?, pad(text, block_size)),
+        ),
+        [cmd, stripe, j] if cmd.as_str() == "read-block" => {
+            Command::Data(ClientOp::read_block(stripe_arg(stripe)?, index_arg(j)?))
+        }
+        [cmd, stripe] if cmd.as_str() == "scrub" => {
+            Command::Data(ClientOp::scrub(stripe_arg(stripe)?))
+        }
         [] => return Err("a command is required".to_string()),
         _ => return Err("unknown or malformed command".to_string()),
     };
@@ -352,9 +355,14 @@ fn run(argv: &[String]) -> Result<(), String> {
         .map_err(|e| format!("invalid configuration: {e}"))?;
     let mut client = NetClient::connect(cluster, cfg);
 
-    // Admin verbs talk to one specific node, return early, and do not
-    // print OpResults; the data verbs fall through to `data_result`.
-    let data_result = match command {
+    // Admin verbs talk to one specific node and print their own replies;
+    // a data verb is one `invoke` whose OpResult is printed.
+    match command {
+        Command::Data(op) => {
+            let result = client.invoke(op).map_err(|e| e.to_string())?;
+            print_result(&result);
+            Ok(())
+        }
         Command::Repair {
             target,
             stripes,
@@ -375,70 +383,43 @@ fn run(argv: &[String]) -> Result<(), String> {
                 max_inflight,
                 scrub_all,
             };
-            return match client.try_admin(node, &op) {
+            match client.try_admin(node, &op) {
                 Ok(AdminResponse::Started) => {
                     println!("ok: repair started on node {node}");
                     Ok(())
                 }
                 Ok(other) => Err(format!("unexpected reply: {other:?}")),
                 Err(e) => Err(e.to_string()),
-            };
-        }
-        Command::RepairStatus { node } => {
-            return match client.try_admin(node, &AdminOp::RepairStatus) {
-                Ok(AdminResponse::Status(p)) => {
-                    print_progress(&p);
-                    Ok(())
-                }
-                Ok(other) => Err(format!("unexpected reply: {other:?}")),
-                Err(e) => Err(e.to_string()),
-            };
-        }
-        Command::RepairAbort { node } => {
-            return match client.try_admin(node, &AdminOp::RepairAbort) {
-                Ok(AdminResponse::Aborted) => {
-                    println!("ok: repair aborted on node {node}");
-                    Ok(())
-                }
-                Ok(other) => Err(format!("unexpected reply: {other:?}")),
-                Err(e) => Err(e.to_string()),
-            };
-        }
-        Command::Stats { node, watch } => {
-            loop {
-                match client.try_admin(node, &AdminOp::StatsSnapshot) {
-                    Ok(AdminResponse::Stats(report)) => print_stats(&report),
-                    Ok(other) => return Err(format!("unexpected reply: {other:?}")),
-                    Err(e) => return Err(e.to_string()),
-                }
-                if !watch {
-                    return Ok(());
-                }
-                println!();
-                std::thread::sleep(std::time::Duration::from_secs(2));
             }
         }
-        Command::WriteStripe { stripe, text } => {
-            // Spread the text across the stripe's m·block_size bytes.
-            let full = pad(&text, m * block_size);
-            let blocks = (0..m)
-                .map(|j| full.slice(j * block_size..(j + 1) * block_size))
-                .collect();
-            client.try_write_stripe(stripe, blocks)
-        }
-        Command::ReadStripe { stripe } => client.try_read_stripe(stripe),
-        Command::WriteBlock { stripe, j, text } => {
-            client.try_write_block(stripe, j, pad(&text, block_size))
-        }
-        Command::ReadBlock { stripe, j } => client.try_read_block(stripe, j),
-        Command::Scrub { stripe } => client.try_scrub(stripe),
-    };
-    match data_result {
-        Ok(r) => {
-            print_result(&r);
-            Ok(())
-        }
-        Err(e) => Err(e.to_string()),
+        Command::RepairStatus { node } => match client.try_admin(node, &AdminOp::RepairStatus) {
+            Ok(AdminResponse::Status(p)) => {
+                print_progress(&p);
+                Ok(())
+            }
+            Ok(other) => Err(format!("unexpected reply: {other:?}")),
+            Err(e) => Err(e.to_string()),
+        },
+        Command::RepairAbort { node } => match client.try_admin(node, &AdminOp::RepairAbort) {
+            Ok(AdminResponse::Aborted) => {
+                println!("ok: repair aborted on node {node}");
+                Ok(())
+            }
+            Ok(other) => Err(format!("unexpected reply: {other:?}")),
+            Err(e) => Err(e.to_string()),
+        },
+        Command::Stats { node, watch } => loop {
+            match client.try_admin(node, &AdminOp::StatsSnapshot) {
+                Ok(AdminResponse::Stats(report)) => print_stats(&report),
+                Ok(other) => return Err(format!("unexpected reply: {other:?}")),
+                Err(e) => return Err(e.to_string()),
+            }
+            if !watch {
+                return Ok(());
+            }
+            println!();
+            std::thread::sleep(std::time::Duration::from_secs(2));
+        },
     }
 }
 
@@ -481,31 +462,24 @@ mod tests {
         let cases: &[(&[&str], Command)] = &[
             (
                 &["write-stripe", "3", "hello"],
-                Command::WriteStripe {
-                    stripe: StripeId(3),
-                    text: "hello".into(),
-                },
+                Command::Data(ClientOp::write_stripe(
+                    StripeId(3),
+                    stripe_text("hello", 2, 64),
+                )),
             ),
             (
                 &["read-stripe", "9"],
-                Command::ReadStripe { stripe: StripeId(9) },
+                Command::Data(ClientOp::read_stripe(StripeId(9))),
             ),
             (
                 &["write-block", "1", "0", "x"],
-                Command::WriteBlock {
-                    stripe: StripeId(1),
-                    j: 0,
-                    text: "x".into(),
-                },
+                Command::Data(ClientOp::write_block(StripeId(1), 0, pad("x", 64))),
             ),
             (
                 &["read-block", "4", "1"],
-                Command::ReadBlock {
-                    stripe: StripeId(4),
-                    j: 1,
-                },
+                Command::Data(ClientOp::read_block(StripeId(4), 1)),
             ),
-            (&["scrub", "0"], Command::Scrub { stripe: StripeId(0) }),
+            (&["scrub", "0"], Command::Data(ClientOp::scrub(StripeId(0)))),
         ];
         for (args, want) in cases {
             let cli = parse_args(&with_base(args)).expect("parse");
@@ -523,7 +497,10 @@ mod tests {
             "--block-size", "16",
         ]))
         .expect("parse");
-        assert_eq!(cli.command, Command::ReadStripe { stripe: StripeId(7) });
+        assert_eq!(
+            cli.command,
+            Command::Data(ClientOp::read_stripe(StripeId(7)))
+        );
         assert_eq!(cli.cluster.len(), 1);
     }
 

@@ -7,46 +7,19 @@
 //! detector is needed; a connection error *is* the signal to try the next
 //! brick (§1.3).
 //!
-//! The `try_*` methods surface transport failures as typed
-//! [`NetClientError`]s; the [`RegisterClient`] implementation panics on
-//! transport failure like `fab-volume`'s runtime client does, which is the
-//! contract the volume layer expects (an unreachable cluster is an
-//! environment bug in tests, not a recoverable state).
+//! [`NetClient`] implements [`RegisterClient`]: every register operation
+//! goes through [`RegisterClient::invoke`], and an exhausted retry budget
+//! is the typed [`ClientError::Unavailable`], never a panic.
 
 use crate::transport::{read_frame, RecvError};
 use bytes::Bytes;
-use fab_core::{OpResult, RegisterConfig, StripeId};
-use fab_volume::RegisterClient;
+use fab_core::{ClientError, ClientOp, OpResult, RegisterClient, RegisterConfig, StripeId};
 use fab_wire::{
-    encode_admin_request_into, encode_client_request_into, AdminOp, AdminResponse, ClientError,
-    ClientOp, Message,
+    encode_admin_request_into, encode_client_request_into, AdminOp, AdminResponse, Message,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-/// Why a client operation failed at the transport layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum NetClientError {
-    /// No brick produced an answer within the retry budget.
-    Unavailable,
-    /// A brick answered with a typed rejection (malformed request).
-    Rejected(ClientError),
-}
-
-impl std::fmt::Display for NetClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetClientError::Unavailable => {
-                write!(f, "no brick answered within the retry budget")
-            }
-            NetClientError::Rejected(e) => write!(f, "request rejected: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for NetClientError {}
 
 /// A blocking client for a TCP brick cluster.
 ///
@@ -142,128 +115,29 @@ impl NetClient {
         outcome
     }
 
-    /// Runs one register operation with rotation and fail-over.
-    ///
-    /// # Errors
-    ///
-    /// [`NetClientError::Rejected`] if a brick refuses the request as
-    /// malformed (retrying elsewhere cannot help);
-    /// [`NetClientError::Unavailable`] when the retry budget is exhausted.
-    pub fn try_invoke(&mut self, op: &ClientOp) -> Result<OpResult, NetClientError> {
-        let n = self.cluster.len().max(1);
-        for round in 0..self.max_rounds {
-            for _ in 0..n {
-                let target = self.next % n;
-                self.next = self.next.wrapping_add(1);
-                match self.try_brick(target, op) {
-                    Ok(Ok(result)) => return Ok(result),
-                    Ok(Err(ClientError::InvalidRequest)) => {
-                        return Err(NetClientError::Rejected(ClientError::InvalidRequest));
-                    }
-                    // `Unavailable` (brick shutting down) and transport
-                    // errors both mean: try the next brick.
-                    Ok(Err(_)) | Err(()) => continue,
-                }
-            }
-            if round + 1 < self.max_rounds {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-        Err(NetClientError::Unavailable)
-    }
-
-    /// Reads a whole stripe.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
-    pub fn try_read_stripe(&mut self, stripe: StripeId) -> Result<OpResult, NetClientError> {
-        self.try_invoke(&ClientOp::ReadStripe { stripe })
-    }
-
-    /// Writes a whole stripe (exactly `m` blocks of `block_size` bytes).
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
+    /// [`RegisterClient::write_stripe`], for callers without the trait in
+    /// scope (like the two below).
     pub fn try_write_stripe(
         &mut self,
         stripe: StripeId,
         blocks: Vec<Bytes>,
-    ) -> Result<OpResult, NetClientError> {
-        self.try_invoke(&ClientOp::WriteStripe { stripe, blocks })
+    ) -> Result<OpResult, ClientError> {
+        self.invoke(ClientOp::write_stripe(stripe, blocks))
     }
 
-    /// Reads one block.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
-    pub fn try_read_block(
-        &mut self,
-        stripe: StripeId,
-        j: usize,
-    ) -> Result<OpResult, NetClientError> {
-        let j = u32::try_from(j).unwrap_or(u32::MAX);
-        self.try_invoke(&ClientOp::ReadBlock { stripe, j })
+    /// [`RegisterClient::read_block`].
+    pub fn try_read_block(&mut self, stripe: StripeId, j: usize) -> Result<OpResult, ClientError> {
+        self.invoke(ClientOp::read_block(stripe, j))
     }
 
-    /// Writes one block.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
+    /// [`RegisterClient::write_block`].
     pub fn try_write_block(
         &mut self,
         stripe: StripeId,
         j: usize,
         block: Bytes,
-    ) -> Result<OpResult, NetClientError> {
-        let j = u32::try_from(j).unwrap_or(u32::MAX);
-        self.try_invoke(&ClientOp::WriteBlock { stripe, j, block })
-    }
-
-    /// Reads several blocks of one stripe in one operation.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
-    pub fn try_read_blocks(
-        &mut self,
-        stripe: StripeId,
-        js: Vec<usize>,
-    ) -> Result<OpResult, NetClientError> {
-        let js = js
-            .into_iter()
-            .map(|j| u32::try_from(j).unwrap_or(u32::MAX))
-            .collect();
-        self.try_invoke(&ClientOp::ReadBlocks { stripe, js })
-    }
-
-    /// Writes several blocks of one stripe in one operation.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
-    pub fn try_write_blocks(
-        &mut self,
-        stripe: StripeId,
-        updates: Vec<(usize, Bytes)>,
-    ) -> Result<OpResult, NetClientError> {
-        let updates = updates
-            .into_iter()
-            .map(|(j, b)| (u32::try_from(j).unwrap_or(u32::MAX), b))
-            .collect();
-        self.try_invoke(&ClientOp::WriteBlocks { stripe, updates })
-    }
-
-    /// Scrubs a stripe.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::try_invoke`].
-    pub fn try_scrub(&mut self, stripe: StripeId) -> Result<OpResult, NetClientError> {
-        self.try_invoke(&ClientOp::Scrub { stripe })
+    ) -> Result<OpResult, ClientError> {
+        self.invoke(ClientOp::write_block(stripe, j, block))
     }
 
     /// One admin request/reply exchange against brick `target`. Any
@@ -322,26 +196,20 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// [`NetClientError::Rejected`] if the brick refuses the request;
-    /// [`NetClientError::Unavailable`] when the retry budget is exhausted.
-    pub fn try_admin(
-        &mut self,
-        target: usize,
-        op: &AdminOp,
-    ) -> Result<AdminResponse, NetClientError> {
+    /// [`ClientError::InvalidRequest`] if the brick refuses the request;
+    /// [`ClientError::Unavailable`] when the retry budget is exhausted.
+    pub fn try_admin(&mut self, target: usize, op: &AdminOp) -> Result<AdminResponse, ClientError> {
         for round in 0..self.max_rounds {
             match self.try_admin_brick(target, op) {
                 Ok(Ok(resp)) => return Ok(resp),
-                Ok(Err(ClientError::InvalidRequest)) => {
-                    return Err(NetClientError::Rejected(ClientError::InvalidRequest));
-                }
+                Ok(Err(ClientError::InvalidRequest)) => return Err(ClientError::InvalidRequest),
                 Ok(Err(_)) | Err(()) => {}
             }
             if round + 1 < self.max_rounds {
                 std::thread::sleep(Duration::from_millis(100));
             }
         }
-        Err(NetClientError::Unavailable)
+        Err(ClientError::Unavailable)
     }
 }
 
@@ -350,36 +218,30 @@ impl RegisterClient for NetClient {
         self.cfg.clone()
     }
 
-    fn read_stripe(&mut self, stripe: StripeId) -> OpResult {
-        self.try_read_stripe(stripe).expect("fab cluster reachable")
-    }
-
-    fn write_stripe(&mut self, stripe: StripeId, blocks: Vec<Bytes>) -> OpResult {
-        self.try_write_stripe(stripe, blocks)
-            .expect("fab cluster reachable")
-    }
-
-    fn read_block(&mut self, stripe: StripeId, j: usize) -> OpResult {
-        self.try_read_block(stripe, j)
-            .expect("fab cluster reachable")
-    }
-
-    fn write_block(&mut self, stripe: StripeId, j: usize, block: Bytes) -> OpResult {
-        self.try_write_block(stripe, j, block)
-            .expect("fab cluster reachable")
-    }
-
-    fn read_blocks(&mut self, stripe: StripeId, js: Vec<usize>) -> OpResult {
-        self.try_read_blocks(stripe, js)
-            .expect("fab cluster reachable")
-    }
-
-    fn write_blocks(&mut self, stripe: StripeId, updates: Vec<(usize, Bytes)>) -> OpResult {
-        self.try_write_blocks(stripe, updates)
-            .expect("fab cluster reachable")
-    }
-
-    fn scrub(&mut self, stripe: StripeId) -> OpResult {
-        self.try_scrub(stripe).expect("fab cluster reachable")
+    /// Runs one register operation with rotation and fail-over:
+    /// [`ClientError::InvalidRequest`] if a brick refuses the request as
+    /// malformed (retrying elsewhere cannot help),
+    /// [`ClientError::Unavailable`] when the retry budget is exhausted.
+    fn invoke(&mut self, op: ClientOp) -> Result<OpResult, ClientError> {
+        let n = self.cluster.len().max(1);
+        for round in 0..self.max_rounds {
+            for _ in 0..n {
+                let target = self.next % n;
+                self.next = self.next.wrapping_add(1);
+                match self.try_brick(target, &op) {
+                    Ok(Ok(result)) => return Ok(result),
+                    Ok(Err(ClientError::InvalidRequest)) => {
+                        return Err(ClientError::InvalidRequest);
+                    }
+                    // `Unavailable` (brick shutting down) and transport
+                    // errors both mean: try the next brick.
+                    Ok(Err(_)) | Err(()) => continue,
+                }
+            }
+            if round + 1 < self.max_rounds {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        }
+        Err(ClientError::Unavailable)
     }
 }

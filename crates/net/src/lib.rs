@@ -26,8 +26,10 @@
 //!
 //! [`NetClient`] is the client half: rotate coordinators across bricks,
 //! fail over on connection errors, no failure detector. It implements
-//! [`fab_volume::RegisterClient`], so a virtual disk can run over a real
-//! cluster unchanged.
+//! [`fab_core::RegisterClient`] — `config` plus one `invoke(ClientOp)`,
+//! the typed calls being the trait's provided methods — so a virtual disk
+//! (or a repair job) runs over a real cluster unchanged, and an
+//! unreachable cluster is the typed `ClientError::Unavailable`.
 //!
 //! The `fabd` binary serves one brick per process; `fab-cli` drives a
 //! cluster from the command line. See the repository README for the
@@ -37,7 +39,7 @@
 //!
 //! ```
 //! use fab_net::{BrickNode, NetClient, NodeConfig};
-//! use fab_core::{OpResult, RegisterConfig, StripeId, StripeValue};
+//! use fab_core::{OpResult, RegisterClient, RegisterConfig, StripeId, StripeValue};
 //! use fab_timestamp::ProcessId;
 //! use bytes::Bytes;
 //! use std::net::TcpListener;
@@ -62,9 +64,9 @@
 //!
 //! let mut client = NetClient::connect(cluster, cfg);
 //! let stripe: Vec<Bytes> = vec![Bytes::from(vec![1u8; 64]), Bytes::from(vec![2u8; 64])];
-//! assert_eq!(client.try_write_stripe(StripeId(0), stripe.clone())?, OpResult::Written);
+//! assert_eq!(client.write_stripe(StripeId(0), stripe.clone())?, OpResult::Written);
 //! assert_eq!(
-//!     client.try_read_stripe(StripeId(0))?,
+//!     client.read_stripe(StripeId(0))?,
 //!     OpResult::Stripe(StripeValue::Data(stripe))
 //! );
 //! for node in nodes {
@@ -81,7 +83,7 @@ pub mod server;
 pub(crate) mod sys;
 pub mod transport;
 
-pub use client::{NetClient, NetClientError};
+pub use client::NetClient;
 pub use server::{BrickNode, NodeConfig, TransportMetrics, WRITE_TIMEOUT};
 pub use transport::{
     read_frame, BufferPool, CounterSnapshot, PeerCounters, PeerSender, RecvError,

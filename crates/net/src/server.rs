@@ -929,7 +929,7 @@ mod tests {
             NetClient::connect(self.addrs.clone(), self.cfg.clone())
         }
         fn invoke(client: &mut NetClient, op: ClientOp) -> Result<OpResult, String> {
-            client.try_invoke(&op).map_err(|e| e.to_string())
+            fab_core::RegisterClient::invoke(client, op).map_err(|e| e.to_string())
         }
         fn ask(
             &self,

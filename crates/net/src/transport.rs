@@ -467,7 +467,6 @@ mod tests {
     use super::*;
     use fab_simnet::Backoff;
     use fab_timestamp::{ProcessId, Timestamp};
-    use fab_wire::{encode_frame, encode_peer_body, FrameKind};
     use std::net::TcpListener;
 
     fn peer_frame(ticks: u64) -> Vec<u8> {
@@ -478,7 +477,9 @@ mod tests {
                 ts: Timestamp::from_parts(ticks.max(1), ProcessId::new(0)),
             }),
         };
-        encode_frame(FrameKind::Peer, &encode_peer_body(ProcessId::new(0), &env))
+        let mut frame = Vec::new();
+        fab_wire::encode_peer_message_into(ProcessId::new(0), &env, &mut frame);
+        frame
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use fab_checker::{History, OpRecord, ValueId, NIL};
-use fab_core::{OpResult, RegisterConfig, StripeId, StripeValue};
+use fab_core::{ClientError, OpResult, RegisterClient, RegisterConfig, StripeId, StripeValue};
 use fab_net::{BrickNode, NetClient, NodeConfig};
 use fab_timestamp::ProcessId;
 use fab_wire::{AdminOp, AdminResponse, RepairProgress};
@@ -80,7 +80,7 @@ fn three_brick_loopback_smoke() {
         OpResult::Written
     );
     assert_eq!(
-        client.try_read_stripe(StripeId(0)).unwrap(),
+        client.read_stripe(StripeId(0)).unwrap(),
         OpResult::Stripe(StripeValue::Data(data))
     );
 
@@ -99,7 +99,7 @@ fn three_brick_loopback_smoke() {
     let err = client
         .try_write_stripe(StripeId(2), vec![Bytes::from(vec![0u8; block]); m + 1])
         .unwrap_err();
-    assert!(matches!(err, fab_net::NetClientError::Rejected(_)));
+    assert_eq!(err, ClientError::InvalidRequest);
 
     // The transport actually moved frames, and clients were served.
     let metrics = nodes[0].metrics();
@@ -130,7 +130,7 @@ impl SharedTrace {
 }
 
 fn worker(trace: &SharedTrace, mut client: NetClient, seed: u64) -> (u64, u64) {
-    let cfg = client_cfg(&client);
+    let cfg = client.config();
     let (m, block) = (cfg.m(), cfg.block_size());
     let stripes = trace.histories.len() as u64;
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -160,7 +160,7 @@ fn worker(trace: &SharedTrace, mut client: NetClient, seed: u64) -> (u64, u64) {
             writes += 1;
         } else {
             let start = trace.now();
-            let outcome = client.try_read_stripe(StripeId(stripe));
+            let outcome = client.read_stripe(StripeId(stripe));
             let end = trace.now();
             if let Ok(result) = outcome {
                 if let Some(id) = value_of(&result) {
@@ -174,11 +174,6 @@ fn worker(trace: &SharedTrace, mut client: NetClient, seed: u64) -> (u64, u64) {
         }
     }
     (writes, reads)
-}
-
-fn client_cfg(client: &NetClient) -> RegisterConfig {
-    use fab_volume::RegisterClient;
-    client.config()
 }
 
 /// The tentpole scenario: n=5, m=3 (f=1) over real sockets, concurrent
@@ -273,7 +268,7 @@ fn five_brick_cluster_survives_kill_and_restart() {
         let mut observed = None;
         for _ in 0..40 {
             let start = trace.now();
-            let result = client.try_read_stripe(StripeId(s as u64)).unwrap();
+            let result = client.read_stripe(StripeId(s as u64)).unwrap();
             let end = trace.now();
             if let Some(id) = value_of(&result) {
                 trace.histories[s].lock().unwrap().push(OpRecord::read(id, start, end));
@@ -287,7 +282,7 @@ fn five_brick_cluster_survives_kill_and_restart() {
         let mut scrubbed = false;
         for _ in 0..40 {
             if matches!(
-                client.try_scrub(StripeId(s as u64)).unwrap(),
+                client.scrub(StripeId(s as u64)).unwrap(),
                 OpResult::Stripe(_)
             ) {
                 scrubbed = true;
@@ -493,7 +488,7 @@ fn five_brick_kill_wipe_repair_rebuilds() {
         let mut observed = None;
         for _ in 0..40 {
             let start = trace.now();
-            let result = client.try_read_stripe(StripeId(s as u64)).unwrap();
+            let result = client.read_stripe(StripeId(s as u64)).unwrap();
             let end = trace.now();
             if let Some(id) = value_of(&result) {
                 trace.histories[s].lock().unwrap().push(OpRecord::read(id, start, end));
@@ -665,7 +660,7 @@ fn five_brick_stats_snapshot_reconciles_over_loopback() {
         writes_acked += 1;
     }
     for s in 0..stripes {
-        let result = client.try_read_stripe(StripeId(s as u64)).unwrap();
+        let result = client.read_stripe(StripeId(s as u64)).unwrap();
         assert_eq!(value_of(&result), Some(s as u64 + 1), "read of stripe {s}");
         reads_done += 1;
     }
@@ -714,7 +709,6 @@ fn five_brick_stats_snapshot_reconciles_over_loopback() {
             .try_write_stripe(StripeId(s as u64), stripe_for(s as u64 + 101, m, block))
             .unwrap();
         assert_eq!(result, OpResult::Written, "degraded write to stripe {s}");
-        writes_acked += 1;
     }
     nodes[victim] = Some(spawn_node(victim, listener));
 
@@ -733,7 +727,7 @@ fn five_brick_stats_snapshot_reconciles_over_loopback() {
     let mut reconnects_seen = false;
     for _round in 0..40 {
         for s in 0..stripes {
-            let result = client.try_read_stripe(StripeId(s as u64)).unwrap();
+            let result = client.read_stripe(StripeId(s as u64)).unwrap();
             assert_eq!(
                 value_of(&result),
                 Some(s as u64 + 101),

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use fab_core::{OpResult, StripeId};
-use fab_volume::RegisterClient;
+use fab_core::{AbortReason, OpResult, RegisterClient, StripeId};
 
 use crate::cursor::RepairCursor;
 use crate::driver::{Action, DriverConfig, RepairDriver, RepairOutcome};
@@ -25,6 +24,21 @@ use crate::stats::{RepairCounters, RepairStats};
 /// Small enough that a crash loses little progress, large enough that
 /// the fsync cost disappears into the scrub cost.
 pub const CHECKPOINT_EVERY: u64 = 32;
+
+/// One timed scrub attempt. A client that got no answer (`Err`: retry
+/// budget exhausted, cluster unreachable) is one more failed attempt of
+/// the stripe: the driver retries, backs off and finally counts it as
+/// `failed` exactly as it does an aborted scrub.
+fn scrub_once<C: RegisterClient>(
+    client: &mut C,
+    stripe: StripeId,
+    counters: &RepairCounters,
+) -> OpResult {
+    let t0 = Instant::now();
+    let result = client.scrub(stripe);
+    counters.record_scrub_micros(as_micros(t0.elapsed()));
+    result.unwrap_or(OpResult::Aborted(AbortReason::Internal))
+}
 
 fn maybe_checkpoint(cursor: &mut Option<RepairCursor>, watermark: u64, every: u64) {
     let Some(c) = cursor.as_mut() else { return };
@@ -71,9 +85,7 @@ pub fn run_with_client<C: RegisterClient>(
         let now = as_micros(started.elapsed());
         match driver.poll(now) {
             Action::Scrub(stripe) => {
-                let t0 = Instant::now();
-                let result = client.scrub(stripe);
-                counters.record_scrub_micros(as_micros(t0.elapsed()));
+                let result = scrub_once(client, stripe, &counters);
                 driver.on_scrub_result(stripe, &result, as_micros(started.elapsed()));
                 maybe_checkpoint(&mut cursor, driver.watermark(), checkpoint_every);
             }
@@ -122,52 +134,7 @@ impl InProcRepair {
     where
         C: RegisterClient + Send + 'static,
     {
-        Self::spawn_inner(
-            plan,
-            cfg,
-            clients,
-            cursor_path,
-            health,
-            Arc::new(RepairCounters::new()),
-        )
-    }
-
-    /// [`InProcRepair::spawn`], but publishing progress through
-    /// instruments registered in `registry` under `repair_*` names.
-    /// Counters in the registry are cumulative across runs; the
-    /// `planned`/`watermark` gauges reflect the latest run.
-    pub fn spawn_registered<C>(
-        plan: RepairPlan,
-        cfg: DriverConfig,
-        clients: Vec<C>,
-        cursor_path: Option<PathBuf>,
-        health: Option<HealthMap>,
-        registry: &fab_obs::Registry,
-    ) -> std::io::Result<InProcRepair>
-    where
-        C: RegisterClient + Send + 'static,
-    {
-        Self::spawn_inner(
-            plan,
-            cfg,
-            clients,
-            cursor_path,
-            health,
-            Arc::new(RepairCounters::registered(registry)),
-        )
-    }
-
-    fn spawn_inner<C>(
-        plan: RepairPlan,
-        cfg: DriverConfig,
-        clients: Vec<C>,
-        cursor_path: Option<PathBuf>,
-        health: Option<HealthMap>,
-        counters: Arc<RepairCounters>,
-    ) -> std::io::Result<InProcRepair>
-    where
-        C: RegisterClient + Send + 'static,
-    {
+        let counters = Arc::new(RepairCounters::new());
         let cursor = match cursor_path {
             Some(path) => Some(RepairCursor::open(&path, plan.hash)?),
             None => None,
@@ -263,9 +230,7 @@ where
             let counters = Arc::clone(counters);
             std::thread::spawn(move || {
                 while let Ok(stripe) = jobs.recv() {
-                    let t0 = Instant::now();
-                    let result = client.scrub(stripe);
-                    counters.record_scrub_micros(as_micros(t0.elapsed()));
+                    let result = scrub_once(&mut client, stripe, &counters);
                     if results.send(WorkerResult { stripe, result }).is_err() {
                         break;
                     }
@@ -320,43 +285,43 @@ where
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use fab_core::{OpResult, RegisterConfig, StripeValue};
+    use fab_core::{ClientError, ClientOp, RegisterConfig, StripeValue};
+    use std::collections::BTreeSet;
 
-    /// A scripted in-memory client: pre-written stripes scrub to data,
-    /// the rest to nil.
+    /// A scripted in-memory client that serves scrubs only: pre-written
+    /// stripes scrub to data, the rest to nil, and the first attempt at a
+    /// stripe in `flaky` finds the cluster unreachable.
     #[derive(Debug, Clone)]
     struct FakeClient {
-        written: std::collections::BTreeSet<u64>,
+        written: BTreeSet<u64>,
+        flaky: BTreeSet<u64>,
+    }
+
+    impl FakeClient {
+        fn with_written(written: impl IntoIterator<Item = u64>) -> Self {
+            FakeClient {
+                written: written.into_iter().collect(),
+                flaky: BTreeSet::new(),
+            }
+        }
     }
 
     impl RegisterClient for FakeClient {
         fn config(&self) -> RegisterConfig {
             RegisterConfig::new(2, 4, 16).unwrap()
         }
-        fn read_stripe(&mut self, _stripe: StripeId) -> OpResult {
-            OpResult::Stripe(StripeValue::Nil)
-        }
-        fn write_stripe(&mut self, _stripe: StripeId, _blocks: Vec<Bytes>) -> OpResult {
-            OpResult::Written
-        }
-        fn read_block(&mut self, _stripe: StripeId, _j: usize) -> OpResult {
-            OpResult::Block(fab_core::BlockValue::Nil)
-        }
-        fn write_block(&mut self, _stripe: StripeId, _j: usize, _block: Bytes) -> OpResult {
-            OpResult::Written
-        }
-        fn read_blocks(&mut self, _stripe: StripeId, _js: Vec<usize>) -> OpResult {
-            OpResult::Blocks(Vec::new())
-        }
-        fn write_blocks(&mut self, _stripe: StripeId, _updates: Vec<(usize, Bytes)>) -> OpResult {
-            OpResult::Written
-        }
-        fn scrub(&mut self, stripe: StripeId) -> OpResult {
-            if self.written.contains(&stripe.0) {
-                OpResult::Stripe(StripeValue::Data(vec![Bytes::from_static(&[7; 16]); 2]))
-            } else {
-                OpResult::Stripe(StripeValue::Nil)
+        fn invoke(&mut self, op: ClientOp) -> Result<OpResult, ClientError> {
+            let ClientOp::Scrub { stripe } = op else {
+                return Err(ClientError::InvalidRequest);
+            };
+            if self.flaky.remove(&stripe.0) {
+                return Err(ClientError::Unavailable);
             }
+            Ok(OpResult::Stripe(if self.written.contains(&stripe.0) {
+                StripeValue::Data(vec![Bytes::from_static(&[7; 16]); 2])
+            } else {
+                StripeValue::Nil
+            }))
         }
     }
 
@@ -371,9 +336,7 @@ mod tests {
     #[test]
     fn synchronous_runner_completes_and_counts() {
         let mut driver = RepairDriver::new(plan(8), DriverConfig::default());
-        let mut client = FakeClient {
-            written: [0u64, 3, 5].into_iter().collect(),
-        };
+        let mut client = FakeClient::with_written([0u64, 3, 5]);
         let out = run_with_client(&mut driver, &mut client, None, CHECKPOINT_EVERY);
         assert!(out.complete);
         assert_eq!(out.stats.repaired, 3);
@@ -383,11 +346,7 @@ mod tests {
 
     #[test]
     fn threaded_runner_completes_over_multiple_workers() {
-        let clients: Vec<FakeClient> = (0..3)
-            .map(|_| FakeClient {
-                written: (0..64).collect(),
-            })
-            .collect();
+        let clients: Vec<FakeClient> = (0..3).map(|_| FakeClient::with_written(0..64)).collect();
         let cfg = DriverConfig {
             max_inflight: 3,
             ..DriverConfig::default()
@@ -399,11 +358,43 @@ mod tests {
         assert_eq!(out.stats.watermark, 64);
     }
 
+    /// A worker whose client cannot reach the cluster must still report
+    /// its in-flight stripe: a worker that dies instead strands the stripe,
+    /// and with another worker still alive the driver waits on it forever.
+    #[test]
+    fn an_unreachable_cluster_is_a_retried_attempt_not_a_hang() {
+        let flaky: BTreeSet<u64> = [1u64, 4, 9, 20].into_iter().collect();
+        let clients: Vec<FakeClient> = (0..2)
+            .map(|_| FakeClient {
+                written: (0..24).collect(),
+                flaky: flaky.clone(),
+            })
+            .collect();
+        let cfg = DriverConfig {
+            max_inflight: 2,
+            ..DriverConfig::default()
+        };
+        let job = InProcRepair::spawn(plan(24), cfg, clients, None, None).unwrap();
+        let out = job.wait().expect("no worker or driver thread panicked");
+        assert!(out.complete, "{:?}", out.stats);
+        assert_eq!(out.stats.repaired, 24);
+        assert_eq!(out.stats.failed, 0);
+        assert!(out.stats.retried >= 4, "{:?}", out.stats);
+
+        // The synchronous runner accounts the same way.
+        let mut driver = RepairDriver::new(plan(24), DriverConfig::default());
+        let mut client = FakeClient {
+            written: (0..24).collect(),
+            flaky,
+        };
+        let out = run_with_client(&mut driver, &mut client, None, CHECKPOINT_EVERY);
+        assert!(out.complete, "{:?}", out.stats);
+        assert_eq!((out.stats.repaired, out.stats.retried), (24, 4));
+    }
+
     #[test]
     fn abort_stops_a_threaded_run() {
-        let clients = vec![FakeClient {
-            written: (0..100_000).collect(),
-        }];
+        let clients = vec![FakeClient::with_written(0..100_000)];
         let cfg = DriverConfig {
             stripes_per_sec: 20, // slow enough that abort lands mid-run
             ..DriverConfig::default()
@@ -423,9 +414,7 @@ mod tests {
         // The same brick replaced twice: the identical plan (same hash)
         // must rebuild every stripe both times.
         for round in 0..2 {
-            let client = FakeClient {
-                written: (0..40).collect(),
-            };
+            let client = FakeClient::with_written(0..40);
             let job = InProcRepair::spawn(
                 plan(40),
                 DriverConfig::default(),
@@ -456,15 +445,13 @@ mod tests {
         // manually and checkpointing every stripe).
         let mut cursor = RepairCursor::open(&path, 99).unwrap();
         let mut driver = RepairDriver::new(plan(40), DriverConfig::default());
-        let mut client = FakeClient {
-            written: (0..40).collect(),
-        };
+        let mut client = FakeClient::with_written(0..40);
         let mut issued = 0;
         loop {
             let now = 0;
             match driver.poll(now) {
                 Action::Scrub(s) => {
-                    let r = client.scrub(s);
+                    let r = client.scrub(s).unwrap();
                     driver.on_scrub_result(s, &r, now);
                     cursor.checkpoint(driver.watermark()).unwrap();
                     issued += 1;

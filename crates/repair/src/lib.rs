@@ -15,8 +15,9 @@
 //! * [`stats`] — lock-free [`RepairCounters`] and [`RepairStats`]
 //!   snapshots for `repair-status` and the bench harness;
 //! * [`inproc`] — blocking runners over any
-//!   [`RegisterClient`](fab_volume::RegisterClient): the same driver
-//!   repairs a simulated cluster and a TCP cluster.
+//!   [`RegisterClient`](fab_core::RegisterClient): the same driver
+//!   repairs a simulated cluster and a TCP cluster, and a client that
+//!   cannot reach the cluster is a retried attempt, never a dead worker.
 //!
 //! Everything outside [`inproc`] is deterministic (no clocks, no
 //! threads, no ambient randomness): torture campaigns drive the state

@@ -2,82 +2,45 @@
 //! its workers, snapshotted into a [`RepairStats`] for `repair-status`
 //! replies and the `repair_throughput` bench.
 //!
-//! The instruments are `fab-obs` types. A standalone
-//! [`RepairCounters::new`] keeps every field private to the repair run;
-//! [`RepairCounters::registered`] shares the same instruments with a
-//! node's [`fab_obs::Registry`] so they ride the `stats-snapshot` admin
-//! exposition under `repair_*` names without any bridging code.
+//! The instruments are `fab-obs` types, private to one repair run; a
+//! node that wants them in its `stats-snapshot` exposition copies a
+//! [`RepairStats`] snapshot in under `repair_*` names (as `fab-net` does).
 
-use std::sync::Arc;
-
-use fab_obs::{Counter, Gauge, Histogram, Registry};
+use fab_obs::{Counter, Gauge, Histogram};
 
 /// Live repair counters. All instruments are lock-free atomics so the
 /// driver thread, scrub workers, and a status-serving event loop can
 /// share one `Arc<RepairCounters>` without locks (lock-free by
 /// construction — no lock-order obligations on the `fab-net` event
 /// loop).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RepairCounters {
     /// Stripes in the plan.
-    pub planned: Arc<Gauge>,
+    pub planned: Gauge,
     /// Stripes reconstructed and re-stored (scrub returned data).
-    pub repaired: Arc<Counter>,
+    pub repaired: Counter,
     /// Stripes that were never written — scrub was a clean no-op.
-    pub skipped: Arc<Counter>,
+    pub skipped: Counter,
     /// Scrub attempts retried after an abort (conflict with foreground
     /// writes, or recovery contention).
-    pub retried: Arc<Counter>,
+    pub retried: Counter,
     /// Stripes given up on after the retry budget (outside the fault
     /// model; reported, never silently dropped).
-    pub failed: Arc<Counter>,
+    pub failed: Counter,
     /// Logical bytes reconstructed (`m * block_size` per repaired stripe).
-    pub bytes_reconstructed: Arc<Counter>,
+    pub bytes_reconstructed: Counter,
     /// Times the driver had to wait on the token-bucket throttle.
-    pub throttle_waits: Arc<Counter>,
+    pub throttle_waits: Counter,
     /// Contiguous-prefix progress through the plan (stripes).
-    pub watermark: Arc<Gauge>,
+    pub watermark: Gauge,
     /// Log2 histogram of per-scrub latency in microseconds.
-    scrub_micros: Arc<Histogram>,
-}
-
-impl Default for RepairCounters {
-    fn default() -> Self {
-        RepairCounters::new()
-    }
+    scrub_micros: Histogram,
 }
 
 impl RepairCounters {
-    /// Fresh zeroed counters, private to this repair run.
+    /// Fresh zeroed counters.
     pub fn new() -> Self {
-        RepairCounters {
-            planned: Arc::new(Gauge::new()),
-            repaired: Arc::new(Counter::new()),
-            skipped: Arc::new(Counter::new()),
-            retried: Arc::new(Counter::new()),
-            failed: Arc::new(Counter::new()),
-            bytes_reconstructed: Arc::new(Counter::new()),
-            throttle_waits: Arc::new(Counter::new()),
-            watermark: Arc::new(Gauge::new()),
-            scrub_micros: Arc::new(Histogram::new()),
-        }
-    }
-
-    /// Counters whose instruments live in `registry` under `repair_*`
-    /// names, so a stats snapshot of the registry sees repair progress
-    /// with no copying.
-    pub fn registered(registry: &Registry) -> Self {
-        RepairCounters {
-            planned: registry.gauge("repair_planned"),
-            repaired: registry.counter("repair_repaired"),
-            skipped: registry.counter("repair_skipped"),
-            retried: registry.counter("repair_retried"),
-            failed: registry.counter("repair_failed"),
-            bytes_reconstructed: registry.counter("repair_bytes_reconstructed"),
-            throttle_waits: registry.counter("repair_throttle_waits"),
-            watermark: registry.gauge("repair_watermark"),
-            scrub_micros: registry.histogram("repair_scrub_micros"),
-        }
+        RepairCounters::default()
     }
 
     /// Records one scrub's wall-clock latency.
@@ -178,41 +141,5 @@ mod tests {
         let s = RepairCounters::new().snapshot();
         assert_eq!(s.scrub_p50_micros, 0);
         assert_eq!(s.scrub_p99_micros, 0);
-    }
-
-    #[test]
-    fn registered_counters_surface_in_the_registry_snapshot() {
-        let registry = Registry::new();
-        let c = RepairCounters::registered(&registry);
-        c.planned.set(7);
-        c.repaired.add(3);
-        c.record_scrub_micros(150);
-        let snap = registry.export();
-        assert_eq!(snap.counter("repair_repaired"), Some(3));
-        let planned = snap
-            .gauges
-            .iter()
-            .find(|(name, _)| *name == "repair_planned")
-            .map(|(_, v)| *v);
-        assert_eq!(planned, Some(7));
-        let scrub = snap
-            .histograms
-            .iter()
-            .find(|(name, _)| *name == "repair_scrub_micros")
-            .map(|(_, h)| *h)
-            .expect("histogram registered");
-        assert_eq!(scrub.count, 1);
-        // Same instrument: recording through the counters is visible in
-        // later registry snapshots.
-        c.record_scrub_micros(150);
-        assert_eq!(
-            registry
-                .export()
-                .histograms
-                .iter()
-                .find(|(name, _)| *name == "repair_scrub_micros")
-                .map(|(_, h)| h.count),
-            Some(2)
-        );
     }
 }

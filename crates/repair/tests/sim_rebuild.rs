@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use fab_core::{OpResult, RegisterConfig, SimCluster, StripeId, StripeValue};
+use fab_core::{ClientOp, OpResult, RegisterConfig, SimCluster, StripeId, StripeValue};
 use fab_repair::{
     plan_brick_rebuild, Action, DriverConfig, RepairCursor, RepairDriver, SegmentMap,
 };
@@ -117,7 +117,7 @@ fn written_cluster(seed: u64) -> (SimCluster, BTreeMap<StripeId, u8>) {
 
 fn assert_fast_path_reads(c: &mut SimCluster, victim: ProcessId, expected: &BTreeMap<StripeId, u8>) {
     for (&stripe, &seed) in expected {
-        let done = c.read_stripe_completion(victim, stripe);
+        let done = c.complete(victim, ClientOp::read_stripe(stripe)).unwrap();
         assert!(
             !done.recovered,
             "post-repair read of {stripe:?} took the recovery path"
@@ -237,7 +237,7 @@ fn rescrubbing_a_repaired_stripe_is_idempotent() {
         first,
         OpResult::Stripe(StripeValue::Data(blocks(seed)))
     );
-    let done = c.read_stripe_completion(victim, stripe);
+    let done = c.complete(victim, ClientOp::read_stripe(stripe)).unwrap();
     assert!(!done.recovered);
 }
 

@@ -30,13 +30,12 @@
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use fab_core::{
-    Completion, Coordinator, Effects, Envelope, OpResult, Payload, RegisterConfig, Replica,
-    StripeId,
+    ClientError, ClientOp, Completion, Coordinator, Effects, Envelope, OpResult, Payload,
+    RegisterConfig, Replica, StripeId,
 };
 use fab_simnet::FaultPlan;
 use fab_store::{BrickStore, CommitPipeline, CommitStore};
 use fab_timestamp::{ProcessId, Timestamp};
-use fab_wire::{ClientError, ClientOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -453,25 +452,7 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
     }
 
     fn on_client(&mut self, op: ClientOp, reply: T::ReplyTo) {
-        let (c, io) = (&mut self.coordinator, &mut self.io);
-        let invoked = match op {
-            ClientOp::ReadStripe { stripe } => Ok(c.invoke_read_stripe(io, stripe)),
-            ClientOp::WriteStripe { stripe, blocks } => c.invoke_write_stripe(io, stripe, blocks),
-            ClientOp::ReadBlock { stripe, j } => c.invoke_read_block(io, stripe, j as usize),
-            ClientOp::WriteBlock { stripe, j, block } => {
-                c.invoke_write_block(io, stripe, j as usize, block)
-            }
-            ClientOp::ReadBlocks { stripe, js } => {
-                let js = js.into_iter().map(|j| j as usize).collect();
-                c.invoke_read_blocks(io, stripe, js)
-            }
-            ClientOp::WriteBlocks { stripe, updates } => {
-                let updates = updates.into_iter().map(|(j, b)| (j as usize, b)).collect();
-                c.invoke_write_blocks(io, stripe, updates)
-            }
-            ClientOp::Scrub { stripe } => Ok(c.invoke_scrub(io, stripe)),
-        };
-        match invoked {
+        match self.coordinator.invoke(&mut self.io, op) {
             Ok(op_id) => {
                 self.waiting.insert(op_id, reply);
             }

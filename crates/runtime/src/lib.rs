@@ -18,12 +18,13 @@
 //! TCP one and runs the very same host.
 //!
 //! [`RuntimeCluster`] owns the brick threads; [`RuntimeClient`] is a
-//! cloneable blocking handle implementing the same operations as the
-//! simulated cluster (and pluggable under `fab_volume::Volume` via its
-//! `RegisterClient` trait). Fault injection mirrors the simulator: bricks
-//! can be "crashed" (they go silent, refuse clients and lose coordinator
-//! state, keeping replica state — NVRAM/disk survive real crashes) and
-//! recovered, and the channel layer can drop messages probabilistically.
+//! cloneable blocking handle implementing [`fab_core::RegisterClient`],
+//! the same interface the simulated and TCP clients serve (so a
+//! `fab_volume::Volume` runs on it directly). Fault injection mirrors the
+//! simulator: bricks can be "crashed" (they go silent, refuse clients and
+//! lose coordinator state, keeping replica state — NVRAM/disk survive real
+//! crashes) and recovered, and the channel layer can drop messages
+//! probabilistically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -32,11 +33,13 @@ pub mod host;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use fab_core::{Coordinator, Envelope, OpResult, RegisterConfig, StripeId};
+use fab_core::{
+    ClientError, ClientOp, Coordinator, Envelope, OpResult, RegisterClient, RegisterConfig,
+    StripeId,
+};
 use fab_simnet::FaultPlan;
 use fab_store::{BrickStore, CommitPipeline, CommitStats, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
-use fab_wire::{ClientError, ClientOp};
 use host::{Host, Transport, COMPACT_THRESHOLD};
 use parking_lot::Mutex;
 use std::convert::Infallible;
@@ -79,39 +82,13 @@ impl Transport for Channels {
     }
 }
 
-/// Errors from client-side operations against a [`RuntimeCluster`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RuntimeError {
-    /// No brick answered within the client timeout (all contacted bricks
-    /// crashed, fenced or unreachable).
-    Timeout,
-    /// The invocation was rejected as malformed (wrong stripe shape or
-    /// block index).
-    InvalidRequest,
-    /// The cluster has been shut down: no brick thread is left.
-    Closed,
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeError::Timeout => write!(f, "no brick answered within the client timeout"),
-            RuntimeError::InvalidRequest => write!(f, "malformed request"),
-            RuntimeError::Closed => write!(f, "cluster is shut down"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
 /// A running cluster of brick threads.
 ///
 /// # Examples
 ///
 /// ```
 /// use fab_runtime::RuntimeCluster;
-/// use fab_core::{OpResult, RegisterConfig, StripeId, StripeValue};
+/// use fab_core::{OpResult, RegisterClient, RegisterConfig, StripeId, StripeValue};
 /// use bytes::Bytes;
 ///
 /// let cluster = RuntimeCluster::new(RegisterConfig::new(2, 4, 64)?);
@@ -301,14 +278,10 @@ impl Drop for RuntimeCluster {
     }
 }
 
-/// A block index on the wire; one too large for the wire is out of range
-/// for every configuration, so the brick rejects it as malformed.
-fn index(j: usize) -> u32 {
-    u32::try_from(j).unwrap_or(u32::MAX)
-}
-
 /// A blocking client for a [`RuntimeCluster`]. Cloneable; coordinators are
-/// rotated per request.
+/// rotated per request. All seven typed calls come from its
+/// [`RegisterClient`] impl; the inherent three below spare callers the
+/// trait import.
 #[derive(Debug, Clone)]
 pub struct RuntimeClient {
     senders: Vec<Sender<Event>>,
@@ -318,18 +291,17 @@ pub struct RuntimeClient {
     pub timeout: Duration,
 }
 
-impl RuntimeClient {
-    /// The register configuration.
-    pub fn config(&self) -> &RegisterConfig {
-        &self.cfg
+impl RegisterClient for RuntimeClient {
+    fn config(&self) -> RegisterConfig {
+        (*self.cfg).clone()
     }
 
-    fn invoke(&mut self, op: &ClientOp) -> Result<OpResult, RuntimeError> {
+    /// Tries up to n bricks: a crashed or fenced brick refuses or never
+    /// answers, the next one will (client-side failover needs no failure
+    /// detector — §1.3). [`ClientError::Unavailable`] once all n were
+    /// tried: every one is down, unreachable, or its thread has exited.
+    fn invoke(&mut self, op: ClientOp) -> Result<OpResult, ClientError> {
         let n = self.senders.len();
-        let mut gone = 0;
-        // Try up to n bricks: a crashed or fenced brick refuses or never
-        // answers, the next one will (client-side failover needs no
-        // failure detector — §1.3).
         for _ in 0..n {
             let target = (self.next as usize) % n;
             self.next = self.next.wrapping_add(1);
@@ -339,107 +311,42 @@ impl RuntimeClient {
                 .send(Event::Client { op, reply })
                 .is_err()
             {
-                gone += 1; // its thread has exited: as dead as a crashed brick
-                continue;
+                continue; // its thread has exited: as dead as a crashed brick
             }
             match rx.recv_timeout(self.timeout) {
                 Ok(Ok(result)) => return Ok(result),
-                Ok(Err(ClientError::InvalidRequest)) => return Err(RuntimeError::InvalidRequest),
+                Ok(Err(ClientError::InvalidRequest)) => return Err(ClientError::InvalidRequest),
                 // Refused (brick down), dropped, or timed out: fail over.
                 Ok(Err(_)) | Err(_) => {}
             }
         }
-        Err(if gone == n {
-            RuntimeError::Closed
-        } else {
-            RuntimeError::Timeout
-        })
+        Err(ClientError::Unavailable)
     }
+}
 
-    /// Reads a whole stripe.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout, malformed request, or shutdown.
-    pub fn read_stripe(&mut self, stripe: StripeId) -> Result<OpResult, RuntimeError> {
-        self.invoke(&ClientOp::ReadStripe { stripe })
-    }
-
-    /// Writes a whole stripe.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout, malformed request, or shutdown.
+impl RuntimeClient {
+    /// [`RegisterClient::write_stripe`].
     pub fn write_stripe(
         &mut self,
         stripe: StripeId,
         blocks: Vec<Bytes>,
-    ) -> Result<OpResult, RuntimeError> {
-        self.invoke(&ClientOp::WriteStripe { stripe, blocks })
+    ) -> Result<OpResult, ClientError> {
+        self.invoke(ClientOp::write_stripe(stripe, blocks))
     }
 
-    /// Reads one block.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout, malformed request, or shutdown.
-    pub fn read_block(&mut self, stripe: StripeId, j: usize) -> Result<OpResult, RuntimeError> {
-        let j = index(j);
-        self.invoke(&ClientOp::ReadBlock { stripe, j })
+    /// [`RegisterClient::read_block`].
+    pub fn read_block(&mut self, stripe: StripeId, j: usize) -> Result<OpResult, ClientError> {
+        self.invoke(ClientOp::read_block(stripe, j))
     }
 
-    /// Writes one block.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout, malformed request, or shutdown.
+    /// [`RegisterClient::write_block`].
     pub fn write_block(
         &mut self,
         stripe: StripeId,
         j: usize,
         block: Bytes,
-    ) -> Result<OpResult, RuntimeError> {
-        let j = index(j);
-        self.invoke(&ClientOp::WriteBlock { stripe, j, block })
-    }
-
-    /// Reads several blocks of one stripe in one operation.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout, malformed request, or shutdown.
-    pub fn read_blocks(
-        &mut self,
-        stripe: StripeId,
-        js: Vec<usize>,
-    ) -> Result<OpResult, RuntimeError> {
-        let js = js.into_iter().map(index).collect();
-        self.invoke(&ClientOp::ReadBlocks { stripe, js })
-    }
-
-    /// Writes several blocks of one stripe in one operation.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout, malformed request, or shutdown.
-    pub fn write_blocks(
-        &mut self,
-        stripe: StripeId,
-        updates: Vec<(usize, Bytes)>,
-    ) -> Result<OpResult, RuntimeError> {
-        let updates = updates.into_iter().map(|(j, b)| (index(j), b)).collect();
-        self.invoke(&ClientOp::WriteBlocks { stripe, updates })
-    }
-
-    /// Scrubs one stripe: recovers the current value and writes it back to
-    /// every reachable brick (maintenance after brick recovery or
-    /// replacement).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError`] on timeout or shutdown.
-    pub fn scrub(&mut self, stripe: StripeId) -> Result<OpResult, RuntimeError> {
-        self.invoke(&ClientOp::Scrub { stripe })
+    ) -> Result<OpResult, ClientError> {
+        self.invoke(ClientOp::write_block(stripe, j, block))
     }
 }
 
@@ -471,7 +378,7 @@ mod tests {
                 RuntimeCluster::client(self)
             }
             fn invoke(client: &mut RuntimeClient, op: ClientOp) -> Result<OpResult, String> {
-                client.invoke(&op).map_err(|e| e.to_string())
+                RegisterClient::invoke(client, op).map_err(|e| e.to_string())
             }
             fn ask(
                 &self,
@@ -622,9 +529,9 @@ mod tests {
         let err = client
             .write_stripe(StripeId(0), blocks(1, 0, 16))
             .unwrap_err();
-        assert_eq!(err, RuntimeError::InvalidRequest);
+        assert_eq!(err, ClientError::InvalidRequest);
         let err = client.read_block(StripeId(0), 9).unwrap_err();
-        assert_eq!(err, RuntimeError::InvalidRequest);
+        assert_eq!(err, ClientError::InvalidRequest);
         cluster.shutdown();
     }
 

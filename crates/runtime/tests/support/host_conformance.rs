@@ -9,10 +9,11 @@
 //! [`Transport`]: fab_runtime::host::Transport
 
 use bytes::Bytes;
-use fab_core::{OpResult, PersistEvent, RegisterConfig, StripeId, StripeValue};
+use fab_core::{
+    ClientError, ClientOp, OpResult, PersistEvent, RegisterConfig, StripeId, StripeValue,
+};
 use fab_store::{CommitStore, StoreError, StripeState};
 use fab_timestamp::ProcessId;
-use fab_wire::{ClientError, ClientOp};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};

@@ -12,10 +12,10 @@
 //! strictly linearizable under the socket substrate too, not that both
 //! substrates produce byte-identical schedules.
 
-use crate::plan::{CampaignPlan, FaultKind, OpKind, PlannedOp};
-use crate::value::{tagged_block, stripe_blocks, value_of};
+use crate::plan::{CampaignPlan, FaultKind, PlannedOp};
+use crate::value::value_of;
 use fab_checker::{History, OpRecord};
-use fab_core::{OpResult, RegisterConfig, StripeId};
+use fab_core::{OpResult, RegisterClient, RegisterConfig, StripeId};
 use fab_net::{BrickNode, NetClient, NodeConfig};
 use fab_timestamp::ProcessId;
 use std::collections::BTreeMap;
@@ -183,16 +183,7 @@ pub fn run_differential(plan: &CampaignPlan) -> Result<DiffReport, DiffSetupErro
                 report.ops_issued += 1;
                 let stripe = StripeId(op.stripe);
                 let start = now_us(&started);
-                let result = match op.kind {
-                    OpKind::ReadStripe => client.try_read_stripe(stripe),
-                    OpKind::ReadBlock0 => client.try_read_block(stripe, 0),
-                    OpKind::Scrub => client.try_scrub(stripe),
-                    OpKind::WriteStripe { id } => client
-                        .try_write_stripe(stripe, stripe_blocks(id, plan.m, plan.block_size)),
-                    OpKind::WriteBlock0 { id } => {
-                        client.try_write_block(stripe, 0, tagged_block(id, plan.block_size))
-                    }
-                };
+                let result = client.invoke(op.kind.client_op(stripe, plan.m, plan.block_size));
                 let end = now_us(&started);
                 let history = histories.entry(op.stripe).or_default();
                 match result {

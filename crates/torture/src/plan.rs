@@ -7,6 +7,8 @@
 //! no `rand` dependency. The generator uses a splitmix64 stream, which is
 //! stable across platforms and Rust versions.
 
+use crate::value::{stripe_blocks, tagged_block};
+use fab_core::{ClientOp, StripeId};
 use std::fmt::Write as _;
 
 /// A tiny deterministic PRNG (splitmix64). Not cryptographic; used only
@@ -103,6 +105,24 @@ impl OpKind {
     #[must_use]
     pub fn is_read(&self) -> bool {
         matches!(self, OpKind::ReadStripe | OpKind::ReadBlock0 | OpKind::Scrub)
+    }
+
+    /// The register operation this step issues on `stripe`, on either
+    /// substrate; writes carry `m` blocks of `block_size` bytes derived
+    /// from the value id.
+    #[must_use]
+    pub fn client_op(self, stripe: StripeId, m: usize, block_size: usize) -> ClientOp {
+        match self {
+            OpKind::ReadStripe => ClientOp::read_stripe(stripe),
+            OpKind::ReadBlock0 => ClientOp::read_block(stripe, 0),
+            OpKind::Scrub => ClientOp::scrub(stripe),
+            OpKind::WriteStripe { id } => {
+                ClientOp::write_stripe(stripe, stripe_blocks(id, m, block_size))
+            }
+            OpKind::WriteBlock0 { id } => {
+                ClientOp::write_block(stripe, 0, tagged_block(id, block_size))
+            }
+        }
     }
 }
 

@@ -25,8 +25,8 @@
 
 use crate::plan::OpKind;
 use fab_core::{
-    Brick, Completion, Envelope, OpResult, OpTrace, Payload, ProtocolError, RegisterConfig, Reply,
-    Request, StripeId,
+    Brick, ClientOp, Completion, Envelope, OpId, OpResult, OpTrace, Payload, ProtocolError,
+    RegisterConfig, Reply, Request, StripeId,
 };
 use fab_repair::{plan_brick_rebuild, Action, DriverConfig, RepairDriver, SegmentMap};
 use fab_simnet::fault::Backoff;
@@ -332,16 +332,8 @@ impl TortureBrick {
             };
             match action {
                 Action::Scrub(stripe) => {
-                    let op = self.inner.scrub(ctx, stripe);
-                    let pid = self.inner.pid().value();
-                    self.journal.borrow_mut().invocations.push(Invocation {
-                        pid,
-                        op,
-                        at: now,
-                        stripe: stripe.0,
-                        kind: OpKind::Scrub,
-                    });
-                    if let Some(rt) = self.repair.as_mut() {
+                    let op = self.start(ctx, stripe, OpKind::Scrub, ClientOp::scrub(stripe));
+                    if let (Some(op), Some(rt)) = (op, self.repair.as_mut()) {
                         rt.pending.insert(op, stripe);
                     }
                 }
@@ -395,21 +387,34 @@ impl TortureBrick {
             Some(rt) => std::mem::take(&mut rt.probe_queue),
             None => return,
         };
-        let now = ctx.now();
-        let pid = self.inner.pid().value();
         for stripe in queue {
-            let op = self.inner.read_stripe(ctx, stripe);
-            self.journal.borrow_mut().invocations.push(Invocation {
-                pid,
-                op,
-                at: now,
-                stripe: stripe.0,
-                kind: OpKind::ReadStripe,
-            });
-            if let Some(rt) = self.repair.as_mut() {
+            let read = ClientOp::read_stripe(stripe);
+            let op = self.start(ctx, stripe, OpKind::ReadStripe, read);
+            if let (Some(op), Some(rt)) = (op, self.repair.as_mut()) {
                 rt.probe_pending.insert(op, stripe);
             }
         }
+    }
+
+    /// Starts `op` through the wrapped coordinator and journals the
+    /// invocation as `kind`; `None` if the coordinator rejected it.
+    fn start(
+        &mut self,
+        ctx: &mut Context<'_, Envelope>,
+        stripe: StripeId,
+        kind: OpKind,
+        op: ClientOp,
+    ) -> Option<OpId> {
+        let at = ctx.now();
+        let op = self.inner.invoke(ctx, op).ok()?;
+        self.journal.borrow_mut().invocations.push(Invocation {
+            pid: self.inner.pid().value(),
+            op,
+            at,
+            stripe: stripe.0,
+            kind,
+        });
+        Some(op)
     }
 
     /// The wrapped production brick.
@@ -433,31 +438,8 @@ impl TortureBrick {
         m: usize,
         block_size: usize,
     ) {
-        let at = ctx.now();
-        let pid = ctx.pid().value();
-        let op = match kind {
-            OpKind::ReadStripe => Some(self.inner.read_stripe(ctx, stripe)),
-            OpKind::Scrub => Some(self.inner.scrub(ctx, stripe)),
-            OpKind::ReadBlock0 => self.inner.read_block(ctx, stripe, 0).ok(),
-            OpKind::WriteStripe { id } => self
-                .inner
-                .write_stripe(ctx, stripe, crate::value::stripe_blocks(id, m, block_size))
-                .ok(),
-            OpKind::WriteBlock0 { id } => self
-                .inner
-                .write_block(ctx, stripe, 0, crate::value::tagged_block(id, block_size))
-                .ok(),
-        };
+        self.start(ctx, stripe, kind, kind.client_op(stripe, m, block_size));
         self.touched.insert(stripe);
-        if let Some(op) = op {
-            self.journal.borrow_mut().invocations.push(Invocation {
-                pid,
-                op,
-                at,
-                stripe: stripe.0,
-                kind,
-            });
-        }
         self.drain(ctx.now());
         self.repair_tick(ctx);
     }

@@ -1,45 +1,12 @@
-//! The register-access interface the volume layer builds on, and its
-//! simulation-backed implementation.
+//! The simulation-backed [`RegisterClient`].
 //!
-//! A [`RegisterClient`] provides synchronous access to one cluster's
-//! stripe registers. The volume layer is generic over it so the same
-//! byte-range I/O logic runs over the deterministic simulator (tests,
-//! benchmarks) and over the threaded runtime (`fab-runtime`).
+//! The volume layer is generic over [`fab_core::RegisterClient`], so the
+//! same byte-range I/O logic runs over the deterministic simulator (tests,
+//! benchmarks — [`SimClient`], here), the threaded runtime
+//! (`fab_runtime::RuntimeClient`) and TCP bricks (`fab_net::NetClient`).
 
-use bytes::Bytes;
-use fab_core::{OpResult, RegisterConfig, SimCluster, StripeId};
+use fab_core::{ClientError, ClientOp, OpResult, RegisterClient, RegisterConfig, SimCluster};
 use fab_timestamp::ProcessId;
-
-/// Synchronous access to a cluster of stripe registers.
-pub trait RegisterClient {
-    /// The register configuration (code parameters, block size). Called
-    /// once at volume construction; an owned copy keeps the trait easy to
-    /// implement for clients behind locks or `RefCell`s.
-    fn config(&self) -> RegisterConfig;
-
-    /// Reads a whole stripe.
-    fn read_stripe(&mut self, stripe: StripeId) -> OpResult;
-
-    /// Writes a whole stripe (exactly m blocks of `block_size` bytes).
-    fn write_stripe(&mut self, stripe: StripeId, blocks: Vec<Bytes>) -> OpResult;
-
-    /// Reads one block of a stripe.
-    fn read_block(&mut self, stripe: StripeId, j: usize) -> OpResult;
-
-    /// Writes one block of a stripe.
-    fn write_block(&mut self, stripe: StripeId, j: usize, block: Bytes) -> OpResult;
-
-    /// Reads several blocks of one stripe in one register operation
-    /// (footnote-2 extension). `js` must be ascending and distinct.
-    fn read_blocks(&mut self, stripe: StripeId, js: Vec<usize>) -> OpResult;
-
-    /// Writes several blocks of one stripe in one register operation.
-    fn write_blocks(&mut self, stripe: StripeId, updates: Vec<(usize, Bytes)>) -> OpResult;
-
-    /// Scrubs a stripe: recover the current value and write it back to all
-    /// reachable bricks (maintenance after recovery/replacement).
-    fn scrub(&mut self, stripe: StripeId) -> OpResult;
-}
 
 /// A [`RegisterClient`] over the deterministic simulator, rotating the
 /// coordinator role across bricks request-by-request — the decentralized
@@ -69,19 +36,14 @@ impl SimClient {
     /// Picks the next coordinator round-robin, skipping crashed bricks
     /// (a client can observe connection failure and try another brick;
     /// this requires no failure *detector* — a live brick that is merely
-    /// slow still works).
-    fn coordinator(&mut self) -> ProcessId {
+    /// slow still works). `None` when every brick is down.
+    fn coordinator(&mut self) -> Option<ProcessId> {
         let n = self.cluster.config().n() as u32;
-        for _ in 0..n {
+        (0..n).find_map(|_| {
             let pid = ProcessId::new(self.next % n);
             self.next = self.next.wrapping_add(1);
-            if !self.cluster.sim().is_crashed(pid) {
-                return pid;
-            }
-        }
-        // All bricks down: return someone; the operation will stall until
-        // recovery, surfacing as a deadline panic in the harness.
-        ProcessId::new(0)
+            (!self.cluster.sim().is_crashed(pid)).then_some(pid)
+        })
     }
 }
 
@@ -90,150 +52,9 @@ impl RegisterClient for SimClient {
         self.cluster.config().clone()
     }
 
-    fn read_stripe(&mut self, stripe: StripeId) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.read_stripe(c, stripe)
-    }
-
-    fn write_stripe(&mut self, stripe: StripeId, blocks: Vec<Bytes>) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.write_stripe(c, stripe, blocks)
-    }
-
-    fn read_block(&mut self, stripe: StripeId, j: usize) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.read_block(c, stripe, j)
-    }
-
-    fn write_block(&mut self, stripe: StripeId, j: usize, block: Bytes) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.write_block(c, stripe, j, block)
-    }
-
-    fn read_blocks(&mut self, stripe: StripeId, js: Vec<usize>) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.read_blocks(c, stripe, js)
-    }
-
-    fn write_blocks(&mut self, stripe: StripeId, updates: Vec<(usize, Bytes)>) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.write_blocks(c, stripe, updates)
-    }
-
-    fn scrub(&mut self, stripe: StripeId) -> OpResult {
-        let c = self.coordinator();
-        self.cluster.scrub(c, stripe)
-    }
-}
-
-/// A [`RegisterClient`] over the threaded runtime: the adapter that lets a
-/// [`Volume`](crate::Volume) run on real brick threads.
-///
-/// Runtime errors (timeouts with every brick down, shutdown) surface as
-/// panics: a volume on a wholly-failed cluster has no meaningful recovery
-/// at this layer, mirroring a host whose disk controller vanished.
-#[derive(Debug, Clone)]
-pub struct RuntimeVolumeClient {
-    client: fab_runtime::RuntimeClient,
-}
-
-impl RuntimeVolumeClient {
-    /// Wraps a runtime client handle.
-    pub fn new(client: fab_runtime::RuntimeClient) -> Self {
-        RuntimeVolumeClient { client }
-    }
-}
-
-impl RegisterClient for RuntimeVolumeClient {
-    fn config(&self) -> RegisterConfig {
-        self.client.config().clone()
-    }
-    fn read_stripe(&mut self, stripe: StripeId) -> OpResult {
-        self.client.read_stripe(stripe).expect("cluster reachable")
-    }
-    fn write_stripe(&mut self, stripe: StripeId, blocks: Vec<Bytes>) -> OpResult {
-        self.client
-            .write_stripe(stripe, blocks)
-            .expect("cluster reachable")
-    }
-    fn read_block(&mut self, stripe: StripeId, j: usize) -> OpResult {
-        self.client
-            .read_block(stripe, j)
-            .expect("cluster reachable")
-    }
-    fn write_block(&mut self, stripe: StripeId, j: usize, block: Bytes) -> OpResult {
-        self.client
-            .write_block(stripe, j, block)
-            .expect("cluster reachable")
-    }
-    fn read_blocks(&mut self, stripe: StripeId, js: Vec<usize>) -> OpResult {
-        self.client
-            .read_blocks(stripe, js)
-            .expect("cluster reachable")
-    }
-    fn write_blocks(&mut self, stripe: StripeId, updates: Vec<(usize, Bytes)>) -> OpResult {
-        self.client
-            .write_blocks(stripe, updates)
-            .expect("cluster reachable")
-    }
-    fn scrub(&mut self, stripe: StripeId) -> OpResult {
-        self.client.scrub(stripe).expect("cluster reachable")
-    }
-}
-
-/// Shared single-threaded client: several volumes over one `Rc<RefCell<C>>`.
-impl<C: RegisterClient> RegisterClient for std::rc::Rc<std::cell::RefCell<C>> {
-    fn config(&self) -> RegisterConfig {
-        self.borrow().config()
-    }
-    fn read_stripe(&mut self, stripe: StripeId) -> OpResult {
-        self.borrow_mut().read_stripe(stripe)
-    }
-    fn write_stripe(&mut self, stripe: StripeId, blocks: Vec<Bytes>) -> OpResult {
-        self.borrow_mut().write_stripe(stripe, blocks)
-    }
-    fn read_block(&mut self, stripe: StripeId, j: usize) -> OpResult {
-        self.borrow_mut().read_block(stripe, j)
-    }
-    fn write_block(&mut self, stripe: StripeId, j: usize, block: Bytes) -> OpResult {
-        self.borrow_mut().write_block(stripe, j, block)
-    }
-    fn read_blocks(&mut self, stripe: StripeId, js: Vec<usize>) -> OpResult {
-        self.borrow_mut().read_blocks(stripe, js)
-    }
-    fn write_blocks(&mut self, stripe: StripeId, updates: Vec<(usize, Bytes)>) -> OpResult {
-        self.borrow_mut().write_blocks(stripe, updates)
-    }
-    fn scrub(&mut self, stripe: StripeId) -> OpResult {
-        self.borrow_mut().scrub(stripe)
-    }
-}
-
-/// Shared thread-safe client: several volumes over one `Arc<Mutex<C>>`.
-impl<C: RegisterClient> RegisterClient for std::sync::Arc<parking_lot::Mutex<C>> {
-    fn config(&self) -> RegisterConfig {
-        self.lock().config()
-    }
-    fn read_stripe(&mut self, stripe: StripeId) -> OpResult {
-        self.lock().read_stripe(stripe)
-    }
-    fn write_stripe(&mut self, stripe: StripeId, blocks: Vec<Bytes>) -> OpResult {
-        self.lock().write_stripe(stripe, blocks)
-    }
-    fn read_block(&mut self, stripe: StripeId, j: usize) -> OpResult {
-        self.lock().read_block(stripe, j)
-    }
-    fn write_block(&mut self, stripe: StripeId, j: usize, block: Bytes) -> OpResult {
-        self.lock().write_block(stripe, j, block)
-    }
-    fn read_blocks(&mut self, stripe: StripeId, js: Vec<usize>) -> OpResult {
-        self.lock().read_blocks(stripe, js)
-    }
-    fn write_blocks(&mut self, stripe: StripeId, updates: Vec<(usize, Bytes)>) -> OpResult {
-        self.lock().write_blocks(stripe, updates)
-    }
-    fn scrub(&mut self, stripe: StripeId) -> OpResult {
-        self.lock().scrub(stripe)
+    fn invoke(&mut self, op: ClientOp) -> Result<OpResult, ClientError> {
+        let coordinator = self.coordinator().ok_or(ClientError::Unavailable)?;
+        self.cluster.invoke(coordinator, op)
     }
 }
 
@@ -246,15 +67,10 @@ mod tests {
     fn rotates_coordinators() {
         let cfg = RegisterConfig::new(2, 4, 8).unwrap();
         let mut client = SimClient::new(SimCluster::new(cfg, SimConfig::ideal(0)));
-        let a = client.coordinator();
-        let b = client.coordinator();
-        let c = client.coordinator();
-        let d = client.coordinator();
-        let e = client.coordinator();
-        assert_eq!(
-            vec![a.value(), b.value(), c.value(), d.value(), e.value()],
-            vec![0, 1, 2, 3, 0]
-        );
+        let picks: Vec<u32> = (0..5)
+            .map(|_| client.coordinator().unwrap().value())
+            .collect();
+        assert_eq!(picks, vec![0, 1, 2, 3, 0]);
     }
 
     #[test]
@@ -266,10 +82,37 @@ mod tests {
             .sim_mut()
             .schedule_crash(0, ProcessId::new(1));
         client.cluster_mut().sim_mut().run_until(1);
-        let picks: Vec<u32> = (0..4).map(|_| client.coordinator().value()).collect();
+        let picks: Vec<u32> = (0..4)
+            .map(|_| client.coordinator().unwrap().value())
+            .collect();
         assert!(
             !picks.contains(&1),
             "crashed brick never coordinates: {picks:?}"
         );
+    }
+
+    /// With no brick to coordinate, or too few for a quorum, the client
+    /// answers `Unavailable`; it must not pick a dead brick and stall.
+    #[test]
+    fn every_brick_crashed_is_unavailable_not_a_panic() {
+        let cfg = RegisterConfig::new(2, 4, 8).unwrap();
+        let mut client = SimClient::new(SimCluster::new(cfg, SimConfig::ideal(0)));
+        for i in 0..4 {
+            let sim = client.cluster_mut().sim_mut();
+            sim.schedule_crash(0, ProcessId::new(i));
+        }
+        client.cluster_mut().sim_mut().run_until(1);
+        let read = client.read_stripe(fab_core::StripeId(0));
+        assert_eq!(read, Err(ClientError::Unavailable));
+        // One recovered brick cannot form a quorum of 3: the operation is
+        // accepted, stalls, and surfaces as Unavailable at the deadline.
+        client.cluster_mut().op_deadline = 50_000;
+        client
+            .cluster_mut()
+            .sim_mut()
+            .schedule_recovery(1, ProcessId::new(2));
+        client.cluster_mut().sim_mut().run_until(2);
+        let read = client.read_stripe(fab_core::StripeId(0));
+        assert_eq!(read, Err(ClientError::Unavailable));
     }
 }

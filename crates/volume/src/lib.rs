@@ -10,9 +10,12 @@
 //!   mapping, including the §3 interleaved layout that maps consecutive
 //!   blocks to different stripes to make conflicts (and therefore aborts)
 //!   unlikely,
-//! * [`RegisterClient`] — the access interface, with [`SimClient`] backing
-//!   it by the deterministic simulator (a threaded implementation lives in
-//!   `fab-runtime`),
+//! * [`SimClient`] — the deterministic simulator behind
+//!   [`RegisterClient`], the access interface every volume is generic
+//!   over. The trait lives in `fab-core` (re-exported here) beside the
+//!   operation vocabulary; `fab_runtime::RuntimeClient` and
+//!   `fab_net::NetClient` implement it too, so this crate depends on
+//!   neither,
 //! * [`Volume`] — block- and byte-range reads/writes with zero-fill
 //!   semantics for unwritten space, read-modify-write for sub-block
 //!   fragments, and bounded retry of aborted (conflicting) operations.
@@ -25,7 +28,8 @@ pub mod layout;
 pub mod manager;
 pub mod volume;
 
-pub use client::{RegisterClient, RuntimeVolumeClient, SimClient};
+pub use client::SimClient;
+pub use fab_core::RegisterClient;
 pub use layout::{Layout, VolumeGeometry};
 pub use manager::{ManagerError, VolumeManager};
 pub use volume::{Volume, VolumeError};

@@ -11,14 +11,13 @@
 //! recreating volumes after a restart is the caller's responsibility —
 //! the *data* is durable wherever the underlying client is.
 
-use crate::client::RegisterClient;
 use crate::layout::{Layout, VolumeGeometry};
 use crate::volume::Volume;
-use parking_lot::Mutex;
+use fab_core::RegisterClient;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Errors from volume management.
 #[derive(Debug, Clone, PartialEq, Eq)]

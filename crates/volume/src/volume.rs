@@ -15,10 +15,9 @@
 //! number of times; §3 argues conflicts are rare in disk workloads, so
 //! retries almost never recur.
 
-use crate::client::RegisterClient;
 use crate::layout::VolumeGeometry;
 use bytes::Bytes;
-use fab_core::{BlockValue, OpResult, StripeValue};
+use fab_core::{BlockValue, ClientError, OpResult, RegisterClient, StripeValue};
 use std::error::Error;
 use std::fmt;
 
@@ -45,6 +44,9 @@ pub enum VolumeError {
         /// Supplied length.
         actual: usize,
     },
+    /// The register client got no answer: no brick of the cluster is
+    /// reachable (or the cluster refused the request outright).
+    Unavailable,
 }
 
 /// Segments of one stripe: `(stripe, [(index, logical block, within, len)])`.
@@ -65,6 +67,7 @@ impl fmt::Display for VolumeError {
             VolumeError::WrongBlockLength { expected, actual } => {
                 write!(f, "block write needs {expected} bytes, got {actual}")
             }
+            VolumeError::Unavailable => write!(f, "no brick of the cluster answered"),
         }
     }
 }
@@ -145,12 +148,12 @@ impl<C: RegisterClient> Volume<C> {
 
     fn retry<F>(&mut self, mut op: F) -> Result<OpResult, VolumeError>
     where
-        F: FnMut(&mut C) -> OpResult,
+        F: FnMut(&mut C) -> Result<OpResult, ClientError>,
     {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            match op(&mut self.client) {
+            match op(&mut self.client).map_err(|_| VolumeError::Unavailable)? {
                 OpResult::Aborted(_) if attempts <= self.max_retries => {
                     self.aborts_observed += 1;
                 }
@@ -165,7 +168,8 @@ impl<C: RegisterClient> Volume<C> {
     /// # Errors
     ///
     /// [`VolumeError::OutOfRange`] past capacity;
-    /// [`VolumeError::TooManyConflicts`] under persistent contention.
+    /// [`VolumeError::TooManyConflicts`] under persistent contention;
+    /// [`VolumeError::Unavailable`] when no brick answers.
     pub fn read_block(&mut self, block: u64) -> Result<Bytes, VolumeError> {
         self.check_block(block)?;
         let (stripe, j) = self.geometry.locate(block);
@@ -399,7 +403,8 @@ impl<C: RegisterClient> Volume<C> {
     ///
     /// # Errors
     ///
-    /// [`VolumeError::TooManyConflicts`] under persistent contention.
+    /// [`VolumeError::TooManyConflicts`] under persistent contention;
+    /// [`VolumeError::Unavailable`] when no brick answers.
     pub fn scrub(&mut self, stripe: fab_core::StripeId) -> Result<(), VolumeError> {
         let result = self.retry(|c| c.scrub(stripe))?;
         debug_assert!(matches!(result, OpResult::Stripe(_)));
@@ -412,7 +417,7 @@ impl<C: RegisterClient> Volume<C> {
     ///
     /// # Errors
     ///
-    /// [`VolumeError::TooManyConflicts`] under persistent contention.
+    /// As [`Volume::scrub`].
     pub fn scrub_all(&mut self) -> Result<(), VolumeError> {
         let base = self.geometry.stripe_base;
         for sid in base..base + self.geometry.stripe_count {

@@ -25,8 +25,8 @@ use crate::error::WireError;
 use crate::frame::{split_frame, FrameBuilder, FrameKind};
 use bytes::Bytes;
 use fab_core::{
-    AbortReason, BlockTarget, BlockUpdate, BlockValue, Envelope, ModifyPayload, OpResult, Payload,
-    Reply, Request, StripeId, StripeValue,
+    AbortReason, BlockTarget, BlockUpdate, BlockValue, ClientError, ClientOp, Envelope,
+    ModifyPayload, OpResult, Payload, Reply, Request, StripeId, StripeValue,
 };
 use fab_timestamp::{ProcessId, Timestamp};
 
@@ -85,97 +85,6 @@ impl Message {
         }
     }
 }
-
-/// A client-requested register operation (the socket form of the volume
-/// layer's `RegisterClient` calls).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientOp {
-    /// Read a whole stripe.
-    ReadStripe {
-        /// Target stripe.
-        stripe: StripeId,
-    },
-    /// Write a whole stripe (exactly `m` blocks of `block_size` bytes).
-    WriteStripe {
-        /// Target stripe.
-        stripe: StripeId,
-        /// The `m` data blocks.
-        blocks: Vec<Bytes>,
-    },
-    /// Read one block.
-    ReadBlock {
-        /// Target stripe.
-        stripe: StripeId,
-        /// Block index.
-        j: u32,
-    },
-    /// Write one block.
-    WriteBlock {
-        /// Target stripe.
-        stripe: StripeId,
-        /// Block index.
-        j: u32,
-        /// The new block contents.
-        block: Bytes,
-    },
-    /// Read several blocks in one register operation.
-    ReadBlocks {
-        /// Target stripe.
-        stripe: StripeId,
-        /// Block indices (ascending, distinct).
-        js: Vec<u32>,
-    },
-    /// Write several blocks in one register operation.
-    WriteBlocks {
-        /// Target stripe.
-        stripe: StripeId,
-        /// `(index, new contents)` pairs (ascending, distinct).
-        updates: Vec<(u32, Bytes)>,
-    },
-    /// Scrub a stripe (recover and rewrite to all reachable bricks).
-    Scrub {
-        /// Target stripe.
-        stripe: StripeId,
-    },
-}
-
-impl ClientOp {
-    /// Short operation name for logs and traces.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ClientOp::ReadStripe { .. } => "read-stripe",
-            ClientOp::WriteStripe { .. } => "write-stripe",
-            ClientOp::ReadBlock { .. } => "read-block",
-            ClientOp::WriteBlock { .. } => "write-block",
-            ClientOp::ReadBlocks { .. } => "read-blocks",
-            ClientOp::WriteBlocks { .. } => "write-blocks",
-            ClientOp::Scrub { .. } => "scrub",
-        }
-    }
-}
-
-/// A brick's typed rejection of a client request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ClientError {
-    /// The request was malformed for the cluster's configuration (wrong
-    /// stripe shape, out-of-range block index).
-    InvalidRequest,
-    /// The brick is shutting down and will not serve the request.
-    Unavailable,
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::InvalidRequest => write!(f, "malformed request"),
-            ClientError::Unavailable => write!(f, "brick unavailable"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
 
 /// An operator-requested administrative operation (the socket form of the
 /// `fab-cli repair` family).
@@ -509,14 +418,6 @@ fn put_peer_body(out: &mut Vec<u8>, from: ProcessId, env: &Envelope) {
     }
 }
 
-/// Encodes an envelope (with its sender) into a Peer frame body.
-#[must_use]
-pub fn encode_peer_body(from: ProcessId, env: &Envelope) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_peer_body(&mut out, from, env);
-    out
-}
-
 fn put_client_op(out: &mut Vec<u8>, op: &ClientOp) {
     match op {
         ClientOp::ReadStripe { stripe } => {
@@ -616,14 +517,6 @@ fn put_client_request_body(out: &mut Vec<u8>, id: u64, op: &ClientOp) {
     put_client_op(out, op);
 }
 
-/// Encodes a client request into a ClientRequest frame body.
-#[must_use]
-pub fn encode_client_request_body(id: u64, op: &ClientOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    put_client_request_body(&mut out, id, op);
-    out
-}
-
 fn put_client_reply_body(out: &mut Vec<u8>, id: u64, result: &Result<OpResult, ClientError>) {
     put_u64(out, id);
     match result {
@@ -644,14 +537,6 @@ fn put_client_reply_body(out: &mut Vec<u8>, id: u64, result: &Result<OpResult, C
             );
         }
     }
-}
-
-/// Encodes a client reply into a ClientReply frame body.
-#[must_use]
-pub fn encode_client_reply_body(id: u64, result: &Result<OpResult, ClientError>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    put_client_reply_body(&mut out, id, result);
-    out
 }
 
 fn put_admin_op(out: &mut Vec<u8>, op: &AdminOp) {
@@ -736,14 +621,6 @@ fn put_admin_request_body(out: &mut Vec<u8>, id: u64, op: &AdminOp) {
     put_admin_op(out, op);
 }
 
-/// Encodes an admin request into an AdminRequest frame body.
-#[must_use]
-pub fn encode_admin_request_body(id: u64, op: &AdminOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48);
-    put_admin_request_body(&mut out, id, op);
-    out
-}
-
 fn put_admin_reply_body(out: &mut Vec<u8>, id: u64, result: &Result<AdminResponse, ClientError>) {
     put_u64(out, id);
     match result {
@@ -766,15 +643,8 @@ fn put_admin_reply_body(out: &mut Vec<u8>, id: u64, result: &Result<AdminRespons
     }
 }
 
-/// Encodes an admin reply into an AdminReply frame body.
-#[must_use]
-pub fn encode_admin_reply_body(id: u64, result: &Result<AdminResponse, ClientError>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96);
-    put_admin_reply_body(&mut out, id, result);
-    out
-}
-
-/// Encodes a full frame (header + body) for any message.
+/// Encodes a full frame (header + body) for any message: the one
+/// `Vec`-returning convenience over [`encode_message_into`].
 #[must_use]
 pub fn encode_message(msg: &Message) -> Vec<u8> {
     let mut out = Vec::new();
@@ -785,9 +655,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 /// Appends a complete Peer frame (header + body) to `out` with no
 /// intermediate allocation: the body is serialized straight into the
 /// caller's buffer behind a reserved header that is patched afterwards.
-///
-/// Byte-identical to `encode_frame(FrameKind::Peer, &encode_peer_body(..))`
-/// appended at `out`'s current tail.
 pub fn encode_peer_message_into(from: ProcessId, env: &Envelope, out: &mut Vec<u8>) {
     let frame = FrameBuilder::begin(out);
     put_peer_body(out, from, env);
@@ -831,8 +698,6 @@ pub fn encode_admin_reply_into(
 }
 
 /// Appends a complete frame for any message to `out` without allocating.
-///
-/// Byte-identical to [`encode_message`] appended at `out`'s current tail.
 pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
     match msg {
         Message::Peer { from, env } => encode_peer_message_into(*from, env, out),
@@ -1440,6 +1305,20 @@ mod tests {
         Timestamp::from_parts(t, ProcessId::new(3))
     }
 
+    /// The body of `msg`'s frame.
+    fn body_of(msg: &Message) -> Vec<u8> {
+        encode_message(msg)[crate::frame::HEADER_LEN..].to_vec()
+    }
+
+    fn admin_request_body(id: u64, op: AdminOp) -> Vec<u8> {
+        body_of(&Message::AdminRequest { id, op })
+    }
+
+    fn admin_reply_body(id: u64, response: AdminResponse) -> Vec<u8> {
+        let result = Ok(response);
+        body_of(&Message::AdminReply { id, result })
+    }
+
     fn round_trip(msg: &Message) {
         let frame = encode_message(msg);
         let (back, used) = decode_message(&frame).expect("round trip");
@@ -1558,7 +1437,7 @@ mod tests {
             id: 4,
             op: ClientOp::Scrub { stripe: StripeId(1) },
         };
-        let mut body = encode_client_request_body(4, &ClientOp::Scrub { stripe: StripeId(1) });
+        let mut body = body_of(&msg);
         body.push(0xAB);
         assert_eq!(
             decode_client_request_body(&body),
@@ -1616,28 +1495,6 @@ mod tests {
             rest = &rest[used..];
         }
         assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn body_encoders_match_their_into_frames() {
-        let env = Envelope {
-            stripe: StripeId(1),
-            round: 2,
-            kind: Payload::Request(Request::Gc { up_to: ts(9) }),
-        };
-        let mut framed = Vec::new();
-        encode_peer_message_into(ProcessId::new(4), &env, &mut framed);
-        let body = encode_peer_body(ProcessId::new(4), &env);
-        assert_eq!(
-            framed,
-            crate::frame::encode_frame(FrameKind::Peer, &body)
-        );
-    }
-
-    #[test]
-    fn client_op_names() {
-        assert_eq!(ClientOp::ReadStripe { stripe: StripeId(0) }.name(), "read-stripe");
-        assert_eq!(ClientOp::Scrub { stripe: StripeId(0) }.name(), "scrub");
     }
 
     fn sample_progress() -> RepairProgress {
@@ -1747,13 +1604,13 @@ mod tests {
 
     #[test]
     fn admin_trailing_bytes_are_rejected() {
-        let mut body = encode_admin_request_body(4, &AdminOp::RepairStatus);
+        let mut body = admin_request_body(4, AdminOp::RepairStatus);
         body.push(0xCD);
         assert_eq!(
             decode_admin_request_body(&body),
             Err(WireError::TrailingBytes { remaining: 1 })
         );
-        let mut body = encode_admin_reply_body(4, &Ok(AdminResponse::Status(sample_progress())));
+        let mut body = admin_reply_body(4, AdminResponse::Status(sample_progress()));
         body.push(0x01);
         assert_eq!(
             decode_admin_reply_body(&body),
@@ -1763,7 +1620,7 @@ mod tests {
 
     #[test]
     fn admin_truncated_status_is_truncated_error() {
-        let full = encode_admin_reply_body(4, &Ok(AdminResponse::Status(sample_progress())));
+        let full = admin_reply_body(4, AdminResponse::Status(sample_progress()));
         // Chop mid-way through the fixed-size status payload.
         let cut = full.get(..full.len() - 10).unwrap_or(&[]);
         assert!(matches!(
@@ -1799,11 +1656,6 @@ mod tests {
             assert_eq!(&buf[at..], &one[..], "encode_into diverged for {msg:?}");
             at = buf.len();
         }
-        // Body encoders match their framed forms too.
-        let body = encode_admin_request_body(3, &AdminOp::RepairAbort);
-        let mut framed = Vec::new();
-        encode_admin_request_into(3, &AdminOp::RepairAbort, &mut framed);
-        assert_eq!(framed, crate::frame::encode_frame(FrameKind::AdminRequest, &body));
     }
 
     #[test]
@@ -1862,7 +1714,7 @@ mod tests {
 
     #[test]
     fn stats_truncated_report_is_truncated_error() {
-        let full = encode_admin_reply_body(30, &Ok(AdminResponse::Stats(sample_stats())));
+        let full = admin_reply_body(30, AdminResponse::Stats(sample_stats()));
         // Chop mid-way through a histogram entry's quantiles.
         let cut = full.get(..full.len() - 6).unwrap_or(&[]);
         assert!(matches!(
@@ -1907,13 +1759,13 @@ mod tests {
 
     #[test]
     fn stats_trailing_bytes_are_rejected() {
-        let mut body = encode_admin_request_body(30, &AdminOp::StatsSnapshot);
+        let mut body = admin_request_body(30, AdminOp::StatsSnapshot);
         body.push(0xEE);
         assert_eq!(
             decode_admin_request_body(&body),
             Err(WireError::TrailingBytes { remaining: 1 })
         );
-        let mut body = encode_admin_reply_body(30, &Ok(AdminResponse::Stats(sample_stats())));
+        let mut body = admin_reply_body(30, AdminResponse::Stats(sample_stats()));
         body.push(0xEE);
         assert_eq!(
             decode_admin_reply_body(&body),

@@ -174,20 +174,8 @@ impl FrameHeader {
     }
 }
 
-/// Frames `body` under `kind`: header + body in one buffer, ready to write.
-#[must_use]
-pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
-    let header = FrameHeader::for_body(kind, body);
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&header.encode());
-    out.extend_from_slice(body);
-    out
-}
-
 /// Appends one frame (header + body) for `body` under `kind` to `out`
 /// without allocating: the caller owns (and reuses) the buffer.
-///
-/// Byte-identical to [`encode_frame`] appended at `out`'s current tail.
 pub fn encode_frame_into(kind: FrameKind, body: &[u8], out: &mut Vec<u8>) {
     let header = FrameHeader::for_body(kind, body);
     out.reserve(HEADER_LEN + body.len());
@@ -200,12 +188,14 @@ pub fn encode_frame_into(kind: FrameKind, body: &[u8], out: &mut Vec<u8>) {
 /// straight into the buffer, then patch the header in place.
 ///
 /// ```
-/// use fab_wire::{FrameBuilder, FrameKind, encode_frame};
+/// use fab_wire::{encode_frame_into, FrameBuilder, FrameKind};
 /// let mut buf = Vec::new();
 /// let frame = FrameBuilder::begin(&mut buf);
 /// buf.extend_from_slice(b"payload");
 /// frame.finish(FrameKind::Peer, &mut buf);
-/// assert_eq!(buf, encode_frame(FrameKind::Peer, b"payload"));
+/// let mut copied = Vec::new();
+/// encode_frame_into(FrameKind::Peer, b"payload", &mut copied);
+/// assert_eq!(buf, copied);
 /// ```
 #[derive(Debug)]
 #[must_use = "an unfinished frame leaves a zeroed header in the buffer"]
@@ -269,12 +259,18 @@ pub fn split_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), WireError>
 mod tests {
     use super::*;
 
+    fn framed(kind: FrameKind, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(kind, body, &mut out);
+        out
+    }
+
     #[test]
-    fn encode_frame_into_matches_encode_frame() {
+    fn encode_frame_into_appends_after_a_prefix() {
         let mut buf = vec![0xAA]; // prefix survives
         encode_frame_into(FrameKind::ClientRequest, b"body-bytes", &mut buf);
         assert_eq!(buf[0], 0xAA);
-        assert_eq!(&buf[1..], &encode_frame(FrameKind::ClientRequest, b"body-bytes")[..]);
+        assert_eq!(&buf[1..], &framed(FrameKind::ClientRequest, b"body-bytes")[..]);
     }
 
     #[test]
@@ -291,8 +287,8 @@ mod tests {
         let (h1, b1, used1) = split_frame(&buf[used0..]).expect("second frame");
         assert_eq!((h1.kind, b1), (FrameKind::ClientReply, &[1u8; 7][..]));
         assert_eq!(used0 + used1, buf.len());
-        // And the builder output is byte-identical to the allocating path.
-        assert_eq!(&buf[..used0], &encode_frame(FrameKind::Peer, &[0u8; 7])[..]);
+        // And the builder output is byte-identical to the copying path.
+        assert_eq!(&buf[..used0], &framed(FrameKind::Peer, &[0u8; 7])[..]);
     }
 
     #[test]
@@ -300,7 +296,7 @@ mod tests {
         let mut buf = Vec::new();
         let frame = FrameBuilder::begin(&mut buf);
         frame.finish(FrameKind::Peer, &mut buf);
-        assert_eq!(buf, encode_frame(FrameKind::Peer, b""));
+        assert_eq!(buf, framed(FrameKind::Peer, b""));
     }
 
     #[test]
@@ -351,7 +347,7 @@ mod tests {
 
     #[test]
     fn corrupt_body_fails_checksum() {
-        let frame = encode_frame(FrameKind::Peer, b"payload");
+        let frame = framed(FrameKind::Peer, b"payload");
         let mut bad = frame.clone();
         *bad.last_mut().unwrap() ^= 0x01;
         assert!(matches!(
@@ -366,7 +362,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_is_an_error() {
-        let frame = encode_frame(FrameKind::ClientRequest, b"some body bytes");
+        let frame = framed(FrameKind::ClientRequest, b"some body bytes");
         for cut in 0..frame.len() {
             let err = split_frame(&frame[..cut]).unwrap_err();
             assert!(
@@ -378,8 +374,8 @@ mod tests {
 
     #[test]
     fn frames_concatenate() {
-        let mut stream = encode_frame(FrameKind::Peer, b"one");
-        stream.extend_from_slice(&encode_frame(FrameKind::ClientReply, b"two"));
+        let mut stream = framed(FrameKind::Peer, b"one");
+        stream.extend_from_slice(&framed(FrameKind::ClientReply, b"two"));
         let (h1, b1, used) = split_frame(&stream).unwrap();
         assert_eq!((h1.kind, b1), (FrameKind::Peer, &b"one"[..]));
         let (h2, b2, _) = split_frame(&stream[used..]).unwrap();

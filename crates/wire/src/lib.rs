@@ -57,15 +57,16 @@ pub mod frame;
 
 pub use codec::{
     decode_admin_reply_body, decode_admin_request_body, decode_body, decode_client_reply_body,
-    decode_client_request_body, decode_message, decode_peer_body, encode_admin_reply_body,
-    encode_admin_reply_into, encode_admin_request_body, encode_admin_request_into,
-    encode_client_reply_body, encode_client_reply_into, encode_client_request_body,
-    encode_client_request_into, encode_message, encode_message_into, encode_peer_body,
-    encode_peer_message_into, AdminOp, AdminResponse, ClientError, ClientOp, Message,
-    RepairProgress, StatsEntry, StatsHistogramEntry, StatsReport,
+    decode_client_request_body, decode_message, decode_peer_body, encode_admin_reply_into,
+    encode_admin_request_into, encode_client_reply_into, encode_client_request_into,
+    encode_message, encode_message_into, encode_peer_message_into, AdminOp, AdminResponse,
+    Message, RepairProgress, StatsEntry, StatsHistogramEntry, StatsReport,
 };
 pub use error::WireError;
+/// The register's client vocabulary lives in `fab-core`; this crate owns
+/// its byte encoding and re-exports the types for socket-side callers.
+pub use fab_core::{ClientError, ClientOp};
 pub use frame::{
-    encode_frame, encode_frame_into, split_frame, FrameBuilder, FrameHeader, FrameKind,
-    HEADER_LEN, MAGIC, MAX_BODY_LEN, VERSION,
+    encode_frame_into, split_frame, FrameBuilder, FrameHeader, FrameKind, HEADER_LEN, MAGIC,
+    MAX_BODY_LEN, VERSION,
 };

@@ -11,13 +11,25 @@
 use fab_core::{Envelope, Payload, Request, StripeId};
 use fab_timestamp::{ProcessId, Timestamp};
 use fab_wire::{
-    decode_message, encode_frame, encode_message, encode_peer_body, FrameKind, Message, WireError,
-    HEADER_LEN, MAGIC, VERSION,
+    decode_message, encode_frame_into, encode_message, AdminResponse, FrameKind, Message,
+    StatsEntry, StatsReport, WireError, HEADER_LEN, MAGIC, VERSION,
 };
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
+}
+
+/// Frames an arbitrary (possibly mutated) `body` under `kind`.
+fn framed(kind: FrameKind, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(kind, body, &mut out);
+    out
+}
+
+/// The body of `msg`'s frame, to mutate and re-frame.
+fn body_of(msg: &Message) -> Vec<u8> {
+    encode_message(msg)[HEADER_LEN..].to_vec()
 }
 
 /// A well-formed reference frame to mutate.
@@ -29,7 +41,10 @@ fn valid_frame() -> Vec<u8> {
             ts: Timestamp::from_parts(99, ProcessId::new(3)),
         }),
     };
-    encode_frame(FrameKind::Peer, &encode_peer_body(ProcessId::new(3), &env))
+    encode_message(&Message::Peer {
+        from: ProcessId::new(3),
+        env,
+    })
 }
 
 /// Builds a frame with an arbitrary (possibly wrong) CRC and length.
@@ -84,33 +99,33 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     entries.push(("crc-forgery", forged));
 
     // A valid message followed by junk inside the same body.
-    let mut trailing = encode_peer_body(
-        ProcessId::new(1),
-        &Envelope {
+    let mut trailing = body_of(&Message::Peer {
+        from: ProcessId::new(1),
+        env: Envelope {
             stripe: StripeId(1),
             round: 1,
             kind: Payload::Request(Request::Gc {
                 up_to: Timestamp::LOW,
             }),
         },
-    );
+    });
     trailing.extend_from_slice(b"\xDE\xAD\xBE\xEF");
-    entries.push(("trailing-bytes", encode_frame(FrameKind::Peer, &trailing)));
+    entries.push(("trailing-bytes", framed(FrameKind::Peer, &trailing)));
 
     // An undefined payload tag inside an otherwise perfect frame.
-    let mut bad_tag = encode_peer_body(
-        ProcessId::new(1),
-        &Envelope {
+    let mut bad_tag = body_of(&Message::Peer {
+        from: ProcessId::new(1),
+        env: Envelope {
             stripe: StripeId(1),
             round: 1,
             kind: Payload::Request(Request::Gc {
                 up_to: Timestamp::LOW,
             }),
         },
-    );
+    });
     // from(4) + stripe(8) + round(8) = offset 20 is the payload tag.
     bad_tag[20] = 0xFF;
-    entries.push(("bad-payload-tag", encode_frame(FrameKind::Peer, &bad_tag)));
+    entries.push(("bad-payload-tag", framed(FrameKind::Peer, &bad_tag)));
 
     // A `Read` request whose target count claims more elements than the
     // remaining body could hold — the classic allocation bomb.
@@ -121,7 +136,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     bomb.push(0); // Payload::Request
     bomb.push(0); // Request::Read
     bomb.extend_from_slice(&u32::MAX.to_le_bytes()); // targets count: lie
-    entries.push(("count-bomb", encode_frame(FrameKind::Peer, &bomb)));
+    entries.push(("count-bomb", framed(FrameKind::Peer, &bomb)));
 
     // A client reply whose OpResult tag is undefined.
     let mut bad_reply = Vec::new();
@@ -130,7 +145,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     bad_reply.push(0xEE); // undefined OpResult tag
     entries.push((
         "bad-opresult-tag",
-        encode_frame(FrameKind::ClientReply, &bad_reply),
+        framed(FrameKind::ClientReply, &bad_reply),
     ));
 
     // An admin request with an undefined op tag.
@@ -139,7 +154,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     bad_admin.push(0x77); // undefined AdminOp tag
     entries.push((
         "bad-admin-op-tag",
-        encode_frame(FrameKind::AdminRequest, &bad_admin),
+        framed(FrameKind::AdminRequest, &bad_admin),
     ));
 
     // A RepairStart body cut off mid-field.
@@ -151,7 +166,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     // ...and nothing else: throttles, inflight, scrub_all all missing.
     entries.push((
         "truncated-admin-start",
-        encode_frame(FrameKind::AdminRequest, &short_admin),
+        framed(FrameKind::AdminRequest, &short_admin),
     ));
 
     // A RepairStart whose scrub_all byte is not a boolean.
@@ -166,7 +181,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     bad_bool.push(9); // scrub_all: not 0/1
     entries.push((
         "bad-admin-bool",
-        encode_frame(FrameKind::AdminRequest, &bad_bool),
+        framed(FrameKind::AdminRequest, &bad_bool),
     ));
 
     // An admin status reply with trailing junk after the fixed payload.
@@ -177,25 +192,28 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     admin_trailing.extend_from_slice(b"\xCA\xFE");
     entries.push((
         "admin-trailing-bytes",
-        encode_frame(FrameKind::AdminReply, &admin_trailing),
+        framed(FrameKind::AdminReply, &admin_trailing),
     ));
 
     // A stats reply cut off inside its first counter's value.
     let reference_stats = {
-        let report = fab_wire::StatsReport {
+        let report = StatsReport {
             node: 3,
-            counters: vec![fab_wire::StatsEntry {
+            counters: vec![StatsEntry {
                 name: "op_reads_fastpath".to_string(),
                 value: 41,
             }],
             gauges: Vec::new(),
             histograms: Vec::new(),
         };
-        fab_wire::encode_admin_reply_body(8, &Ok(fab_wire::AdminResponse::Stats(report)))
+        body_of(&Message::AdminReply {
+            id: 8,
+            result: Ok(AdminResponse::Stats(report)),
+        })
     };
     entries.push((
         "truncated-stats",
-        encode_frame(FrameKind::AdminReply, &reference_stats[..reference_stats.len() - 3]),
+        framed(FrameKind::AdminReply, &reference_stats[..reference_stats.len() - 3]),
     ));
 
     // A stats reply whose counter count claims ~4 billion entries with an
@@ -208,7 +226,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     stats_bomb.extend_from_slice(&u32::MAX.to_le_bytes()); // counter count: lie
     entries.push((
         "stats-count-bomb",
-        encode_frame(FrameKind::AdminReply, &stats_bomb),
+        framed(FrameKind::AdminReply, &stats_bomb),
     ));
 
     // A counter name whose byte length claims more than the body holds.
@@ -224,18 +242,18 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     stats_name_lie.extend_from_slice(b"op_padding"); // ...but 10 bytes present
     entries.push((
         "stats-name-length-lie",
-        encode_frame(FrameKind::AdminReply, &stats_name_lie),
+        framed(FrameKind::AdminReply, &stats_name_lie),
     ));
 
     // A perfectly valid (empty) stats reply followed by junk.
-    let mut stats_trailing = fab_wire::encode_admin_reply_body(
-        9,
-        &Ok(fab_wire::AdminResponse::Stats(fab_wire::StatsReport::default())),
-    );
+    let mut stats_trailing = body_of(&Message::AdminReply {
+        id: 9,
+        result: Ok(AdminResponse::Stats(StatsReport::default())),
+    });
     stats_trailing.extend_from_slice(b"\xFE\xED");
     entries.push((
         "stats-trailing-bytes",
-        encode_frame(FrameKind::AdminReply, &stats_trailing),
+        framed(FrameKind::AdminReply, &stats_trailing),
     ));
 
     entries

@@ -17,9 +17,8 @@ use fab_core::{
 };
 use fab_timestamp::{ProcessId, Timestamp};
 use fab_wire::{
-    decode_message, encode_frame, encode_frame_into, encode_message, encode_message_into, AdminOp,
-    AdminResponse, ClientError, ClientOp, FrameBuilder, FrameKind, Message, RepairProgress,
-    WireError,
+    decode_message, encode_frame_into, encode_message, encode_message_into, AdminOp, AdminResponse,
+    ClientError, ClientOp, FrameBuilder, FrameKind, Message, RepairProgress, WireError,
 };
 use proptest::prelude::*;
 
@@ -353,14 +352,15 @@ proptest! {
             3 => fab_wire::FrameKind::AdminRequest,
             _ => fab_wire::FrameKind::AdminReply,
         };
-        let frame = encode_frame(kind, &body);
+        let mut frame = Vec::new();
+        encode_frame_into(kind, &body, &mut frame);
         let _ = decode_message(&frame); // must return, Ok or Err
     }
 
-    /// The zero-allocation append path is byte-identical to the allocating
-    /// encoder, and never disturbs bytes already in the buffer.
+    /// Appending a frame never disturbs bytes already in the buffer, and
+    /// the frame's bytes do not depend on where in the buffer it lands.
     #[test]
-    fn encode_into_is_byte_identical(
+    fn encode_into_is_position_independent(
         msg in arb_message(),
         prefix in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
@@ -371,10 +371,11 @@ proptest! {
         prop_assert_eq!(&buf[prefix.len()..], &alone[..]);
     }
 
-    /// encode_frame_into and FrameBuilder both match encode_frame for any
-    /// body, including when the builder's body is appended piecewise.
+    /// FrameBuilder (header patched in place) matches encode_frame_into
+    /// (header computed up front) for any body, including when the
+    /// builder's body is appended piecewise.
     #[test]
-    fn frame_builder_matches_encode_frame(
+    fn frame_builder_matches_encode_frame_into(
         kind in 0u16..3,
         body in proptest::collection::vec(any::<u8>(), 0..128),
         split in any::<usize>(),
@@ -384,11 +385,8 @@ proptest! {
             1 => FrameKind::ClientRequest,
             _ => FrameKind::ClientReply,
         };
-        let reference = encode_frame(kind, &body);
-
-        let mut via_into = Vec::new();
-        encode_frame_into(kind, &body, &mut via_into);
-        prop_assert_eq!(&via_into[..], &reference[..]);
+        let mut reference = Vec::new();
+        encode_frame_into(kind, &body, &mut reference);
 
         let mut via_builder = Vec::new();
         let frame = FrameBuilder::begin(&mut via_builder);

@@ -7,7 +7,6 @@
 
 use fab::prelude::*;
 use fab_core::OpResult;
-use fab_volume::{RuntimeVolumeClient, Volume};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("fab-durable-demo-{}", std::process::id()));
@@ -19,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let cluster = RuntimeCluster::with_persistence(RegisterConfig::new(m, n, size)?, &dir);
         let mut disk = Volume::new(
-            RuntimeVolumeClient::new(cluster.client()),
+            cluster.client(),
             VolumeGeometry::new(16, m, size, Layout::Interleaved),
         );
         disk.write(1_000, b"written before the power cycle")?;
@@ -47,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let r = client.read_stripe(StripeId(0))?;
         assert!(matches!(r, OpResult::Stripe(_)));
         let mut disk = Volume::new(
-            RuntimeVolumeClient::new(cluster.client()),
+            cluster.client(),
             VolumeGeometry::new(16, m, size, Layout::Interleaved),
         );
         assert_eq!(disk.read(1_000, 30)?, b"written before the power cycle");

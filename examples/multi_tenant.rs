@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A brick dies; every tenant keeps running.
     {
         let client = mgr.client();
-        let mut guard = client.lock();
+        let mut guard = client.lock().expect("shared client lock");
         let t = guard.cluster_mut().sim().now();
         guard
             .cluster_mut()

@@ -15,7 +15,7 @@
 //! | [`timestamp`] | `fab-timestamp` | process ids, `newTS` timestamps |
 //! | [`quorum`] | `fab-quorum` | m-quorum systems (`n ≥ 2f + m`) |
 //! | [`simnet`] | `fab-simnet` | deterministic fair-loss crash-recovery simulator |
-//! | [`register`] | `fab-core` | the storage-register protocol (coordinator + replica) |
+//! | [`register`] | `fab-core` | the storage-register protocol (coordinator + replica) and its client interface (`ClientOp`, `RegisterClient`) |
 //! | [`baseline`] | `fab-baseline` | LS97 replicated register (Table 1 baseline) |
 //! | [`runtime`] | `fab-runtime` | threaded brick cluster |
 //! | [`volume`] | `fab-volume` | byte-addressable logical volumes |
@@ -62,8 +62,8 @@ pub use fab_wire as wire;
 /// The commonly-used types in one import.
 pub mod prelude {
     pub use fab_core::{
-        AbortReason, BlockValue, OpResult, RegisterConfig, SimCluster, StripeId, StripeValue,
-        WriteStrategy,
+        AbortReason, BlockValue, ClientError, ClientOp, OpResult, RegisterClient, RegisterConfig,
+        SimCluster, StripeId, StripeValue, WriteStrategy,
     };
     pub use fab_erasure::{CodeParams, Codec, Share};
     pub use fab_net::{BrickNode, NetClient, NodeConfig};

@@ -120,7 +120,7 @@ fn cost_asymmetry_holds_at_m_equals_1() {
     theirs.write(pid(0), value);
 
     let (done, our_read) = ours.measure_op(pid(1), move |b, ctx| {
-        b.read_stripe(ctx, s);
+        b.read_stripe(ctx, s).unwrap();
     });
     assert!(done.result.is_ok());
     let (_, their_read) = theirs.measure(pid(1), |node, ctx| {

@@ -183,7 +183,7 @@ fn partition_majority_progress_and_heal() {
     // verify it has not completed after a long wait.
     let t = c.sim().now();
     c.sim_mut().schedule_call(t, pid(0), move |b, ctx| {
-        b.read_stripe(ctx, s);
+        b.read_stripe(ctx, s).unwrap();
     });
     c.sim_mut().run_until(t + 5_000);
     assert!(

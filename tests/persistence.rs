@@ -3,7 +3,7 @@
 //! process restarts (a new cluster over the same directory).
 
 use bytes::Bytes;
-use fab_core::{OpResult, RegisterConfig, StripeId, StripeValue};
+use fab_core::{OpResult, RegisterClient, RegisterConfig, StripeId, StripeValue};
 use fab_runtime::RuntimeCluster;
 use fab_timestamp::ProcessId;
 use std::path::PathBuf;

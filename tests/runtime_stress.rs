@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use fab_checker::{History, OpRecord};
-use fab_core::{OpResult, RegisterConfig, StripeId, StripeValue};
+use fab_core::{OpResult, RegisterClient, RegisterConfig, StripeId, StripeValue};
 use fab_runtime::RuntimeCluster;
 use fab_timestamp::ProcessId;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -73,7 +73,7 @@ fn scrub_refreshes_a_stale_brick() {
     // And subsequent reads take the fast path again (recovered == false).
     let at = c.sim().now();
     c.sim_mut().schedule_call(at, pid(2), move |b, ctx| {
-        b.read_stripe(ctx, s);
+        b.read_stripe(ctx, s).unwrap();
     });
     c.sim_mut().run_until_idle();
     let done = std::mem::take(&mut c.sim_mut().actor_mut(pid(2)).completions);

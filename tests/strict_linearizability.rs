@@ -112,7 +112,7 @@ fn run_random_execution(seed: u64) {
                     *at,
                     ProcessId::new(*coordinator),
                     move |b, ctx| {
-                        b.read_stripe(ctx, s);
+                        b.read_stripe(ctx, s).unwrap();
                     },
                 );
             }
@@ -466,7 +466,7 @@ fn random_histories_5_of_8() {
             cluster
                 .sim_mut()
                 .schedule_call(at + rng.below(3), reader, move |b, ctx| {
-                    b.read_stripe(ctx, stripe);
+                    b.read_stripe(ctx, stripe).unwrap();
                 });
             cluster.sim_mut().run_until_idle();
             for (pid, c) in cluster.drain_all_completions() {

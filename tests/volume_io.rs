@@ -115,17 +115,16 @@ fn five_of_eight_4k_blocks() {
     assert_eq!(v.read(0, 4096).expect("read"), vec![0u8; 4096]);
 }
 
-/// The same byte-level semantics hold over the threaded runtime through
-/// the library's RuntimeVolumeClient adapter.
+/// The same byte-level semantics hold over the threaded runtime:
+/// `RuntimeClient` is a `RegisterClient`, no adapter in between.
 #[test]
 fn volume_over_threaded_runtime() {
     use fab_runtime::RuntimeCluster;
-    use fab_volume::RuntimeVolumeClient;
 
     let cfg = RegisterConfig::new(2, 4, 64).unwrap();
     let cluster = RuntimeCluster::new(cfg);
     let mut vol = Volume::new(
-        RuntimeVolumeClient::new(cluster.client()),
+        cluster.client(),
         VolumeGeometry::new(8, 2, 64, Layout::Interleaved),
     );
     vol.write(100, b"threads and simulation share one protocol")
@@ -140,5 +139,31 @@ fn volume_over_threaded_runtime() {
     cluster.recover(fab_timestamp::ProcessId::new(0));
     vol.scrub_all().expect("scrub");
     assert_eq!(vol.read(100, 10).expect("read"), b"threads an".to_vec());
+    cluster.shutdown();
+}
+
+/// A volume over a cluster with every brick down reports a typed error
+/// (an unreachable cluster is a state to recover from, not a panic).
+#[test]
+fn volume_over_fully_crashed_runtime_is_unavailable() {
+    use fab_runtime::RuntimeCluster;
+    use fab_volume::VolumeError;
+
+    let cluster = RuntimeCluster::new(RegisterConfig::new(2, 4, 64).unwrap());
+    let mut client = cluster.client();
+    client.timeout = std::time::Duration::from_millis(200);
+    let mut vol = Volume::new(client, VolumeGeometry::new(8, 2, 64, Layout::Interleaved));
+    vol.write(0, b"while the bricks are up").expect("write");
+    for i in 0..4 {
+        cluster.crash(fab_timestamp::ProcessId::new(i));
+    }
+    assert_eq!(vol.read(0, 8), Err(VolumeError::Unavailable));
+    assert_eq!(vol.write(0, b"nobody home"), Err(VolumeError::Unavailable));
+    assert_eq!(vol.scrub_all(), Err(VolumeError::Unavailable));
+    // The data outlives the outage.
+    for i in 0..4 {
+        cluster.recover(fab_timestamp::ProcessId::new(i));
+    }
+    assert_eq!(vol.read(0, 8).expect("read"), b"while th".to_vec());
     cluster.shutdown();
 }

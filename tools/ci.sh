@@ -11,10 +11,14 @@
 #   1. release build          — the code must compile with optimizations
 #   2. test suite             — workspace unit + integration tests
 #   3. bench compile          — criterion benches must keep building
-#   4. protocol static lints  — `cargo xtask analyze` (L1–L6, zero tolerance)
+#   4. protocol static lints  — `cargo xtask analyze` (L1–L6, zero tolerance),
+#                               then `cargo xtask loc`: the per-crate non-test
+#                               line counts simplicity PRs quote (informational)
 #   5. clippy                 — workspace lint wall, warnings are errors
 #   6. loopback cluster       — n=5 TCP bricks, kill/restart mid-workload,
-#                               strict-linearizability check (wall-clock capped)
+#                               strict-linearizability check (wall-clock capped);
+#                               then the cross-substrate conformance script
+#                               (sim, threads and TCP must answer alike)
 #   7. torture campaigns      — 500 deterministic fault campaigns from a fixed
 #                               seed base, each seed run twice (determinism
 #                               gate), plus the sim-vs-sockets differential
@@ -60,6 +64,7 @@ run cargo build --release
 run cargo test -q
 run cargo bench --no-run
 run cargo xtask analyze
+run cargo xtask loc
 run cargo clippy --workspace --all-targets -- -D warnings
 
 # Stage 6: the multi-process-shaped integration test is `#[ignore]`d so plain
@@ -67,6 +72,7 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # (a deadlocked transport must fail CI, not hang it).
 run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
     five_brick_cluster_survives_kill_and_restart
+run timeout 300 cargo test -q -p fab-net --test conformance -- --include-ignored
 
 # Stage 7: bounded torture campaigns. A fixed seed base keeps the gate
 # reproducible; --check-determinism runs every seed twice and compares

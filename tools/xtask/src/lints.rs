@@ -327,7 +327,7 @@ fn no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------- L1b ------
 
 /// Handler functions: the message/state-machine entry points named by the
-/// protocol (`on_*`, `handle*`, `progress_*`, `invoke_*`) in fab-core's
+/// protocol (`on_*`, `handle*`, `progress_*`, `invoke`, `start_*`) in fab-core's
 /// coordinator/replica/brick and fab-simnet's event loop, plus the
 /// wire-format decoders (`decode*`, `get_*`, `read_*`) whose every input
 /// byte is attacker-controlled.
@@ -335,7 +335,8 @@ fn handler_fn(name: &str) -> bool {
     name.starts_with("on_")
         || name.starts_with("handle")
         || name.starts_with("progress_")
-        || name.starts_with("invoke_")
+        || name == "invoke"
+        || name.starts_with("start_")
         || name.starts_with("decode")
         || name.starts_with("get_")
         || name.starts_with("read_")

@@ -19,6 +19,11 @@
 //!   `target/mutation` dir so the normal cache survives) and asserts the
 //!   suite catches every planted protocol bug within 500 seeds.
 //!
+//! * `loc` — per-crate non-test line counts of `crates/*/src`, the figure
+//!   simplicity PRs quote before and after: lines before a file's first
+//!   top-level `#[cfg(test)]` that are neither blank nor comment-only
+//!   (judged on the lexer's masked text, so doc comments do not count).
+//!
 //! The binary is dependency-free on purpose: it must build in hermetic CI
 //! images with an empty cargo registry.
 
@@ -282,13 +287,50 @@ fn torture(args: &[String]) -> ExitCode {
     }
 }
 
+/// Non-test lines of one source file (see the module docs for the rule).
+fn non_test_lines(raw: &str) -> usize {
+    let masked = lexer::mask(raw).text;
+    masked
+        .lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .filter(|line| !line.trim().is_empty())
+        .count()
+}
+
+/// `cargo xtask loc`: one row per crate under `crates/`, then the total.
+fn loc() -> ExitCode {
+    let crates_dir = workspace_root().join("crates");
+    let Ok(entries) = std::fs::read_dir(&crates_dir) else {
+        eprintln!("xtask loc: cannot read {}", crates_dir.display());
+        return ExitCode::FAILURE;
+    };
+    let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    dirs.sort();
+    let mut total = 0;
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        let mut files = Vec::new();
+        collect_rs(&dir.join("src"), &mut files);
+        let lines: usize = files
+            .iter()
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .map(|raw| non_test_lines(&raw))
+            .sum();
+        let name = dir.file_name().unwrap_or_default().to_string_lossy();
+        println!("{name:<14}{lines:>7}");
+        total += lines;
+    }
+    println!("{:<14}{total:>7}", "total");
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
         Some("torture") => torture(&args[1..]),
+        Some("loc") => loc(),
         _ => {
-            eprintln!("usage: cargo xtask <analyze|torture> [ARGS ...]");
+            eprintln!("usage: cargo xtask <analyze|torture|loc> [ARGS ...]");
             eprintln!();
             eprintln!("  analyze   run the protocol-aware static-analysis pass (L1-L9)");
             eprintln!("    --list    print the lint registry and exit");
@@ -297,7 +339,23 @@ fn main() -> ExitCode {
             eprintln!("  torture   run seed-driven fault campaigns (fab-torture)");
             eprintln!("    --mutation-smoke  prove the suite catches planted protocol bugs");
             eprintln!("    (other flags are forwarded; see `cargo xtask torture -- --help`)");
+            eprintln!("  loc       per-crate non-test line counts of crates/*/src");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::non_test_lines;
+
+    #[test]
+    fn loc_counts_code_before_the_first_top_level_test_module() {
+        let src = "//! docs\n\nuse a::b; // trailing\n/* block\n   comment */\n\
+                   fn f() {\n    #[cfg(test)]\n    g();\n}\n\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        // `use`, `fn f() {`, the indented attribute, `g();`, `}`.
+        assert_eq!(non_test_lines(src), 5);
+        assert_eq!(non_test_lines(""), 0);
     }
 }
