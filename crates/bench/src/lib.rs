@@ -3,8 +3,9 @@
 //!
 //! * [`table1`] — per-operation cost measurement (latency, messages, disk
 //!   I/O, bandwidth) for our algorithm and the LS97 baseline.
-//! * [`workload`] — synthetic request streams (read-mostly web, write
-//!   heavy, contended) for abort-rate and throughput experiments.
+//! * [`workload`] — synthetic request streams (read fraction and
+//!   conflict skew are the inputs) for abort-rate and throughput
+//!   experiments.
 //!
 //! Binaries (run with `cargo run -p fab-bench --bin <name>`):
 //!

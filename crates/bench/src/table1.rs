@@ -25,8 +25,7 @@
 use bytes::Bytes;
 use fab_baseline::BaselineCluster;
 use fab_core::{
-    Envelope, GcPolicy, OpCosts, OpResult, Payload, RegisterConfig, Request, SimCluster, StripeId,
-    WriteStrategy,
+    GcPolicy, OpCosts, OpResult, RegisterConfig, Request, SimCluster, StripeId, WriteStrategy,
 };
 use fab_simnet::SimConfig;
 use fab_timestamp::{ProcessId, Timestamp};
@@ -400,16 +399,6 @@ pub fn render(rows: &[Table1Row]) -> String {
     }
     out.push_str("(each cell: paper formula / measured on the simulator)\n");
     out
-}
-
-/// Sends a raw request envelope from a harness-controlled brick — exposed
-/// for protocol-poking tests.
-pub fn raw_envelope(stripe: StripeId, round: u64, req: Request) -> Envelope {
-    Envelope {
-        stripe,
-        round,
-        kind: Payload::Request(req),
-    }
 }
 
 #[cfg(test)]

@@ -40,16 +40,6 @@ impl WorkloadSpec {
             operations,
         }
     }
-
-    /// A write-heavy uniform workload (worst case for aborts).
-    pub fn write_heavy(stripes: u64, operations: usize) -> Self {
-        WorkloadSpec {
-            read_fraction: 0.3,
-            stripes,
-            skew: 0.0,
-            operations,
-        }
-    }
 }
 
 /// One generated request.

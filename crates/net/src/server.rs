@@ -32,6 +32,7 @@ use fab_wire::{
     AdminResponse, ClientError, Message, RepairProgress, StatsEntry, StatsHistogramEntry,
     StatsReport,
 };
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -477,10 +478,13 @@ impl Tcp {
 
 // ----------------------------------------------------- accept/readers -----
 
-/// Accepted connections and their reader threads, for shutdown.
+/// Live accepted connections and their reader threads, for shutdown.
 #[derive(Default)]
 struct Registry {
-    streams: Vec<TcpStream>,
+    /// Keyed by accept order. A reader removes its own entry when its
+    /// connection ends: the clone would otherwise hold the socket's fd open
+    /// for the life of the brick.
+    streams: HashMap<u64, TcpStream>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -546,9 +550,10 @@ fn accept_loop(
     tx: &Sender<Event>,
     counters: &[Arc<PeerCounters>],
     client_counters: &Arc<PeerCounters>,
-    registry: &Mutex<Registry>,
+    registry: &Arc<Mutex<Registry>>,
     stop: &AtomicBool,
 ) -> TcpListener {
+    let mut next_id = 0u64;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -556,19 +561,35 @@ fn accept_loop(
                     return listener; // woken by the shutdown self-connect
                 }
                 let _ = stream.set_nodelay(true);
-                let clone = stream.try_clone();
-                let tx = tx.clone();
-                let counters = counters.to_vec();
-                let client_counters = client_counters.clone();
-                let handle = std::thread::Builder::new()
-                    .name("fab-conn".to_string())
-                    .spawn(move || handle_connection(stream, &tx, &counters, &client_counters));
-                if let Ok(mut reg) = registry.lock() {
-                    if let Ok(clone) = clone {
-                        reg.streams.push(clone);
+                let id = next_id;
+                next_id += 1;
+                // Registered before the reader starts, so the reader's
+                // removal cannot come first.
+                if let Ok(clone) = stream.try_clone() {
+                    if let Ok(mut reg) = registry.lock() {
+                        reg.streams.insert(id, clone);
                     }
-                    if let Ok(handle) = handle {
-                        reg.handles.push(handle);
+                }
+                let handle = {
+                    let tx = tx.clone();
+                    let counters = counters.to_vec();
+                    let client_counters = client_counters.clone();
+                    let registry = registry.clone();
+                    std::thread::Builder::new()
+                        .name("fab-conn".to_string())
+                        .spawn(move || {
+                            handle_connection(stream, &tx, &counters, &client_counters);
+                            if let Ok(mut reg) = registry.lock() {
+                                reg.streams.remove(&id);
+                            }
+                        })
+                };
+                if let Ok(mut reg) = registry.lock() {
+                    reg.handles.retain(|h| !h.is_finished());
+                    match handle {
+                        Ok(handle) => reg.handles.push(handle),
+                        // No reader was started: nothing will remove the entry.
+                        Err(_) => drop(reg.streams.remove(&id)),
                     }
                 }
             }
@@ -837,7 +858,7 @@ impl BrickNode {
         // 3. Unblock and join every reader thread by shutting its socket.
         let mut handles = Vec::new();
         if let Ok(mut reg) = self.registry.lock() {
-            for s in reg.streams.drain(..) {
+            for (_, s) in reg.streams.drain() {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
             handles = std::mem::take(&mut reg.handles);

@@ -33,10 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod explicit;
-
-pub use explicit::{ExplicitError, ExplicitQuorumSystem};
-
 use fab_timestamp::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;

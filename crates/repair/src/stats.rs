@@ -1,6 +1,6 @@
 //! Repair observability: lock-free counters updated by the driver and
 //! its workers, snapshotted into a [`RepairStats`] for `repair-status`
-//! replies and the `repair_throughput` bench.
+//! replies.
 //!
 //! The instruments are `fab-obs` types, private to one repair run; a
 //! node that wants them in its `stats-snapshot` exposition copies a
@@ -69,7 +69,7 @@ impl RepairCounters {
 }
 
 /// A point-in-time view of a repair run, the payload of the
-/// `RepairStatus` admin reply and of `BENCH_repair.json`.
+/// `RepairStatus` admin reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
     /// Stripes in the plan.

@@ -1,6 +1,6 @@
 //! Group-commit pipeline: amortize `sync_data` across concurrent writers.
 //!
-//! [`BrickStore::append`] pays one fsync per record — correct, but at
+//! Syncing each record on its own pays one fsync per record — correct, but at
 //! ~100µs+ per `sync_data` it caps a brick at a few thousand persisted
 //! events per second no matter how fast the protocol layer runs. The fix
 //! used by every serious write-ahead log is *group commit*: while one sync

@@ -270,11 +270,11 @@ fn decode_body(body: &[u8]) -> Option<(StripeId, PersistEvent)> {
 /// let ts = Timestamp::from_parts(7, ProcessId::new(1));
 /// {
 ///     let mut store = BrickStore::open(&path)?;
-///     store.append(StripeId(0), &PersistEvent::OrdTs(ts))?;
-///     store.append(
+///     store.append_batch(&[(StripeId(0), PersistEvent::OrdTs(ts))])?;
+///     store.append_batch(&[(
 ///         StripeId(0),
-///         &PersistEvent::Entry(ts, BlockValue::Data(Bytes::from_static(b"block"))),
-///     )?;
+///         PersistEvent::Entry(ts, BlockValue::Data(Bytes::from_static(b"block"))),
+///     )])?;
 /// }
 /// // Reopen: the state is recovered from disk.
 /// let store = BrickStore::open(&path)?;
@@ -363,21 +363,6 @@ impl BrickStore {
             live_at_compaction: 0,
             scratch: Vec::new(),
         })
-    }
-
-    /// Appends one persistence event and syncs it to disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on filesystem failure.
-    pub fn append(&mut self, stripe: StripeId, event: &PersistEvent) -> Result<(), StoreError> {
-        self.scratch.clear();
-        encode_record_into(&mut self.scratch, stripe, event);
-        self.file.write_all(&self.scratch)?;
-        self.file.sync_data()?;
-        apply(&mut self.state, stripe, event);
-        self.appended += 1;
-        Ok(())
     }
 
     /// Appends a group of persistence events with **one** `write_all` and
@@ -562,12 +547,13 @@ mod tests {
         let path = dir.join("brick.log");
         {
             let mut s = BrickStore::open(&path).unwrap();
-            s.append(StripeId(0), &PersistEvent::OrdTs(ts(5))).unwrap();
-            s.append(StripeId(0), &PersistEvent::Entry(ts(5), data(1)))
+            s.append_batch(&[(StripeId(0), PersistEvent::OrdTs(ts(5)))])
                 .unwrap();
-            s.append(StripeId(3), &PersistEvent::Entry(ts(7), BlockValue::Bottom))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(5), data(1)))])
                 .unwrap();
-            s.append(StripeId(3), &PersistEvent::Entry(ts(9), BlockValue::Nil))
+            s.append_batch(&[(StripeId(3), PersistEvent::Entry(ts(7), BlockValue::Bottom))])
+                .unwrap();
+            s.append_batch(&[(StripeId(3), PersistEvent::Entry(ts(9), BlockValue::Nil))])
                 .unwrap();
         }
         let s = BrickStore::open(&path).unwrap();
@@ -587,9 +573,9 @@ mod tests {
         let path = dir.join("brick.log");
         {
             let mut s = BrickStore::open(&path).unwrap();
-            s.append(StripeId(0), &PersistEvent::Entry(ts(5), data(1)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(5), data(1)))])
                 .unwrap();
-            s.append(StripeId(0), &PersistEvent::Entry(ts(6), data(2)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(6), data(2)))])
                 .unwrap();
         }
         // Simulate a crash mid-append: chop bytes off the end.
@@ -604,7 +590,7 @@ mod tests {
         assert_eq!(st.log.entry_at(ts(6)), None, "torn record dropped");
         // The file was truncated to the valid prefix; appending works.
         let mut s = s;
-        s.append(StripeId(0), &PersistEvent::Entry(ts(8), data(3)))
+        s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(8), data(3)))])
             .unwrap();
         drop(s);
         let s = BrickStore::open(&path).unwrap();
@@ -621,9 +607,9 @@ mod tests {
         let path = dir.join("brick.log");
         {
             let mut s = BrickStore::open(&path).unwrap();
-            s.append(StripeId(0), &PersistEvent::Entry(ts(5), data(1)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(5), data(1)))])
                 .unwrap();
-            s.append(StripeId(0), &PersistEvent::Entry(ts(6), data(2)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(6), data(2)))])
                 .unwrap();
         }
         // Flip a byte inside the second record's body.
@@ -646,10 +632,11 @@ mod tests {
         {
             let mut s = BrickStore::open(&path).unwrap();
             for t in [2u64, 4, 6] {
-                s.append(StripeId(0), &PersistEvent::Entry(ts(t), data(t as u8)))
+                s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(t), data(t as u8)))])
                     .unwrap();
             }
-            s.append(StripeId(0), &PersistEvent::Gc(ts(6))).unwrap();
+            s.append_batch(&[(StripeId(0), PersistEvent::Gc(ts(6)))])
+                .unwrap();
         }
         let s = BrickStore::open(&path).unwrap();
         let st = s.stripe(StripeId(0)).unwrap();
@@ -664,9 +651,10 @@ mod tests {
         let path = dir.join("brick.log");
         let mut s = BrickStore::open(&path).unwrap();
         for t in 1..=200u64 {
-            s.append(StripeId(0), &PersistEvent::Entry(ts(t), data(t as u8)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(t), data(t as u8)))])
                 .unwrap();
-            s.append(StripeId(0), &PersistEvent::Gc(ts(t))).unwrap();
+            s.append_batch(&[(StripeId(0), PersistEvent::Gc(ts(t)))])
+                .unwrap();
         }
         let before = s.file_size().unwrap();
         s.compact().unwrap();
@@ -690,7 +678,7 @@ mod tests {
         let path = dir.join("brick.log");
         let mut s = BrickStore::open(&path).unwrap();
         for t in 1..=10u64 {
-            s.append(StripeId(0), &PersistEvent::Entry(ts(t), data(1)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(t), data(1)))])
                 .unwrap();
         }
         assert!(!s.maybe_compact(100).unwrap(), "below threshold");
@@ -734,7 +722,7 @@ mod tests {
         let path = dir.join("brick.log");
         {
             let mut s = BrickStore::open(&path).unwrap();
-            s.append(StripeId(0), &PersistEvent::Entry(ts(1), data(9)))
+            s.append_batch(&[(StripeId(0), PersistEvent::Entry(ts(1), data(9)))])
                 .unwrap();
             s.append_batch(&[
                 (StripeId(0), PersistEvent::Entry(ts(2), data(2))),

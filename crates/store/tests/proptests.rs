@@ -58,7 +58,7 @@ proptest! {
             for step in &script {
                 match step {
                     Step::Event(stripe, e) => {
-                        s.append(StripeId(*stripe), e).unwrap();
+                        s.append_batch(&[(StripeId(*stripe), e.clone())]).unwrap();
                     }
                     Step::Compact => s.compact().unwrap(),
                 }
@@ -86,7 +86,7 @@ proptest! {
             let mut s = BrickStore::open(&path).unwrap();
             for step in &script {
                 if let Step::Event(stripe, e) = step {
-                    s.append(StripeId(*stripe), e).unwrap();
+                    s.append_batch(&[(StripeId(*stripe), e.clone())]).unwrap();
                 }
             }
         }
@@ -99,10 +99,10 @@ proptest! {
         }
         // Recovery must not panic, and appending afterwards must work.
         let mut s = BrickStore::open(&path).unwrap();
-        s.append(
+        s.append_batch(&[(
             StripeId(0),
-            &PersistEvent::OrdTs(Timestamp::from_parts(999, ProcessId::new(0))),
-        )
+            PersistEvent::OrdTs(Timestamp::from_parts(999, ProcessId::new(0))),
+        )])
         .unwrap();
         drop(s);
         let s = BrickStore::open(&path).unwrap();

@@ -24,10 +24,11 @@
 #                               gate), plus the sim-vs-sockets differential
 #                               test (the 50k sweep and mutation smoke live in
 #                               tools/nightly.sh; see TESTING.md)
-#   8. e2e throughput smoke   — bounded n=5/m=3 durable-write run asserting
-#                               metrics-on throughput stays within 10% of
-#                               metrics-off (regression tripwire for the
-#                               observability overhead, not a benchmark)
+#   8. metrics overhead gate  — loopback test: bounded n=5/m=3 durable-write
+#                               runs asserting metrics-on throughput stays
+#                               within 10% of metrics-off (regression
+#                               tripwire for the observability overhead,
+#                               not a benchmark — that is stage 12)
 #   9. loom model checking    — exhaustive interleaving suites for the
 #                               commit pipeline and the transport buffer
 #                               pool, built with --cfg loom (swaps std sync
@@ -36,9 +37,9 @@
 #  10. brick repair e2e        — n=5/m=3 loopback cluster: kill a brick, wipe
 #                               its store, rebuild it through the admin
 #                               repair protocol with a mid-repair
-#                               orchestrator crash (durable-cursor resume),
-#                               then the repair-throughput smoke (throttle
-#                               must engage, foreground I/O must stay live)
+#                               orchestrator crash (durable-cursor resume);
+#                               the same test asserts the throttle engaged
+#                               and foreground I/O stayed live and bounded
 #  11. observability           — fab-obs unit suite, the loom no-tear model
 #                               check of the pair counter, and the loopback
 #                               stats e2e (kill/restart must surface as
@@ -47,7 +48,8 @@
 #  12. repository benchmark    — `benchmark/` is a workspace of its own, so
 #                               no earlier stage notices when a crate API
 #                               change breaks it: its unit tests, then a
-#                               `--smoke` pass over every workload
+#                               `--smoke` pass over every workload. The only
+#                               stage that boots a cluster to measure speed
 #
 # Optional: when `cargo-llvm-cov` is installed, COVERAGE=1 ./tools/ci.sh
 # appends a line-coverage summary after the gates (informational, non-gating).
@@ -82,12 +84,12 @@ run cargo xtask torture --runs 500 --seed-base fixed --check-determinism \
     --bench-out target/BENCH_torture_ci.json
 run timeout 300 cargo test -q -p fab-torture --lib differential -- --ignored
 
-# Stage 8: end-to-end durable-write smoke. Bounded metrics-off / metrics-on
-# data points over real loopback TCP; exits non-zero if the fab-obs
-# registries cost more than 10% of throughput. The full sweep that
-# regenerates BENCH_e2e.json is run manually
-# (`cargo run --release -p fab-bench --bin e2e_throughput`).
-run timeout 300 cargo run --release -p fab-bench --bin e2e_throughput -- --smoke
+# Stage 8: observability overhead gate. Bounded metrics-off / metrics-on
+# durable-write runs over real loopback TCP; fails if the fab-obs registries
+# cost more than 10% of throughput (three attempts). Numbers come from the
+# repository benchmark (stage 12, benchmark/README.md), not from here.
+run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
+    metrics_cost_under_ten_percent_of_write_rate
 
 # Stage 9: exhaustive model checking of the concurrency kernels. --cfg loom
 # swaps the sys modules in fab-store/fab-net onto the in-tree `loom` model
@@ -102,11 +104,10 @@ run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 # Stage 10: decentralized rebuild, end to end. The loopback test replaces a
 # brick's disk and proves the admin-driven repair restores every stripe —
 # including a node-0 crash mid-repair with the rebuild resuming from its
-# durable cursor. The bench smoke then asserts the throttle actually
-# engages and foreground I/O keeps completing during a rebuild.
+# durable cursor — and asserts the throttle actually engaged and both
+# foreground clients kept completing operations (p99 < 5 s) meanwhile.
 run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
     five_brick_kill_wipe_repair_rebuilds
-run timeout 300 cargo run --release -p fab-bench --bin repair_throughput -- --smoke
 
 # Stage 11: observability. The fab-obs unit suite covers the instruments and
 # registry; the loom suite exhausts interleavings of the packed pair counter
