@@ -1,8 +1,8 @@
-//! Criterion benches for the erasure-coding substrate (Figure 4's
-//! primitives): encode/decode/modify throughput across code families and
-//! block sizes.
+//! Timings of the erasure-coding substrate (Figure 4's primitives):
+//! encode/decode/modify throughput across code families and block sizes,
+//! and the GF(256) kernel tiers (DESIGN.md §4c).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fab_bench::timer::time;
 use fab_erasure::kernel::{mul_acc, mul_slice, set_kernel_override, simd_available, xor_slice};
 use fab_erasure::{Codec, Gf256, Kernel, Share};
 
@@ -12,77 +12,57 @@ fn stripe(m: usize, len: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn bench_encode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("encode");
+fn bench_encode() {
     for (m, n) in [(1usize, 3usize), (3, 4), (5, 8), (10, 14)] {
         for size in [4096usize, 65536] {
             let codec = Codec::new(m, n).unwrap();
             let data = stripe(m, size);
-            group.throughput(Throughput::Bytes((m * size) as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("{m}-of-{n}"), size),
-                &size,
-                |b, _| b.iter(|| codec.encode(&data).unwrap()),
-            );
+            time(&format!("encode/{m}-of-{n}/{size}"), (m * size) as u64, || {
+                codec.encode(&data).unwrap()
+            });
         }
     }
-    group.finish();
 }
 
-fn bench_decode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode");
+fn bench_decode() {
     for (m, n) in [(3usize, 4usize), (5, 8), (10, 14)] {
         let size = 65536usize;
         let codec = Codec::new(m, n).unwrap();
-        let data = stripe(m, size);
-        let blocks = codec.encode(&data).unwrap();
-        // Worst case: decode entirely from the tail (parity-heavy) shares.
-        let parity_shares: Vec<Share<'_>> = (n - m..n)
-            .map(|i| Share::new(i, blocks[i].as_slice()))
-            .collect();
-        group.throughput(Throughput::Bytes((m * size) as u64));
-        group.bench_function(BenchmarkId::new(format!("{m}-of-{n}"), "parity"), |b| {
-            b.iter(|| codec.decode(&parity_shares).unwrap());
-        });
-        // Best case: all data shares present (systematic fast path).
-        let data_shares: Vec<Share<'_>> = (0..m)
-            .map(|i| Share::new(i, blocks[i].as_slice()))
-            .collect();
-        group.bench_function(BenchmarkId::new(format!("{m}-of-{n}"), "systematic"), |b| {
-            b.iter(|| codec.decode(&data_shares).unwrap());
-        });
+        let blocks = codec.encode(&stripe(m, size)).unwrap();
+        // Worst case: decode entirely from the tail (parity-heavy) shares;
+        // best case: all data shares present (systematic fast path).
+        for (label, indices) in [("parity", n - m..n), ("systematic", 0..m)] {
+            let shares: Vec<Share<'_>> = indices
+                .map(|i| Share::new(i, blocks[i].as_slice()))
+                .collect();
+            time(&format!("decode/{m}-of-{n}/{label}"), (m * size) as u64, || {
+                codec.decode(&shares).unwrap()
+            });
+        }
     }
-    group.finish();
 }
 
-fn bench_modify(c: &mut Criterion) {
-    let mut group = c.benchmark_group("modify");
+fn bench_modify() {
     let (m, n, size) = (5usize, 8usize, 65536usize);
     let codec = Codec::new(m, n).unwrap();
     let data = stripe(m, size);
     let blocks = codec.encode(&data).unwrap();
     let new_block = vec![0xA5u8; size];
-    group.throughput(Throughput::Bytes(size as u64));
-    group.bench_function("incremental modify_{0,5}", |b| {
-        b.iter(|| {
-            codec
-                .modify(0, 5, &data[0], &new_block, &blocks[5])
-                .unwrap()
-        });
+    time("modify/incremental modify_{0,5}", size as u64, || {
+        codec
+            .modify(0, 5, &data[0], &new_block, &blocks[5])
+            .unwrap()
     });
-    group.bench_function("coded_delta", |b| {
-        b.iter(|| codec.coded_delta(0, 5, &data[0], &new_block).unwrap());
+    time("modify/coded_delta", size as u64, || {
+        codec.coded_delta(0, 5, &data[0], &new_block).unwrap()
     });
     // The alternative the paper's modify primitive avoids: re-encoding the
     // whole stripe.
-    group.bench_function("full re-encode (baseline)", |b| {
-        b.iter(|| {
-            let mut d = data.clone();
-            d[0] = new_block.clone();
-            codec.encode(&d).unwrap()
-        });
+    time("modify/full re-encode (baseline)", size as u64, || {
+        let mut d = data.clone();
+        d[0] = new_block.clone();
+        codec.encode(&d).unwrap()
     });
-    group.finish();
 }
 
 /// The kernel tiers worth measuring on this machine: the scalar reference,
@@ -96,37 +76,33 @@ fn kernel_tiers() -> Vec<Kernel> {
     tiers
 }
 
-fn bench_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels");
+fn bench_kernels() {
     let coeff = Gf256::new(0x8E); // arbitrary non-trivial field element
     for size in [1usize << 10, 1 << 14, 1 << 17, 1 << 20] {
         let src: Vec<u8> = (0..size).map(|k| (k * 31 + 7) as u8).collect();
-        group.throughput(Throughput::Bytes(size as u64));
         for kernel in kernel_tiers() {
             set_kernel_override(Some(kernel));
             let tag = format!("{kernel:?}").to_lowercase();
             let mut acc = vec![0u8; size];
-            group.bench_with_input(
-                BenchmarkId::new(format!("mul_acc/{tag}"), size),
-                &size,
-                |b, _| b.iter(|| mul_acc(&mut acc, &src, coeff)),
-            );
+            time(&format!("kernels/mul_acc/{tag}/{size}"), size as u64, || {
+                mul_acc(&mut acc, &src, coeff);
+            });
             let mut buf = src.clone();
-            group.bench_with_input(
-                BenchmarkId::new(format!("mul_slice/{tag}"), size),
-                &size,
-                |b, _| b.iter(|| mul_slice(&mut buf, coeff)),
-            );
+            time(&format!("kernels/mul_slice/{tag}/{size}"), size as u64, || {
+                mul_slice(&mut buf, coeff);
+            });
         }
         set_kernel_override(None);
         let mut dst = vec![0u8; size];
-        group.bench_with_input(BenchmarkId::new("xor_slice", size), &size, |b, _| {
-            b.iter(|| xor_slice(&mut dst, &src));
+        time(&format!("kernels/xor_slice/{size}"), size as u64, || {
+            xor_slice(&mut dst, &src);
         });
     }
-    set_kernel_override(None);
-    group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_modify, bench_kernels);
-criterion_main!(benches);
+fn main() {
+    bench_encode();
+    bench_decode();
+    bench_modify();
+    bench_kernels();
+}

@@ -1,7 +1,7 @@
-//! Criterion benches for the volume layer: byte-range I/O cost over the
-//! simulated cluster, and the linear-vs-interleaved layout trade-off.
+//! Timings of the volume layer: byte-range I/O cost over the simulated
+//! cluster, and the linear-vs-interleaved layout trade-off.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fab_bench::timer::time;
 use fab_core::{RegisterConfig, SimCluster};
 use fab_simnet::SimConfig;
 use fab_volume::{Layout, SimClient, Volume, VolumeGeometry};
@@ -16,44 +16,29 @@ fn volume(layout: Layout) -> Volume<SimClient> {
     )
 }
 
-fn bench_volume_io(c: &mut Criterion) {
-    let mut group = c.benchmark_group("volume_io");
+fn main() {
     for layout in [Layout::Linear, Layout::Interleaved] {
-        let label = format!("{layout:?}");
-        group.throughput(Throughput::Bytes(8 * 1024));
-        group.bench_function(BenchmarkId::new("write_8k", &label), |b| {
-            let mut v = volume(layout);
-            let data = vec![0x5Au8; 8 * 1024];
-            let mut off = 0u64;
-            b.iter(|| {
-                v.write(off % 40_960, &data).unwrap();
-                off += 8 * 1024;
-            });
+        let mut v = volume(layout);
+        let data = vec![0x5Au8; 8 * 1024];
+        let mut off = 0u64;
+        time(&format!("volume_io/write_8k/{layout:?}"), 8 * 1024, || {
+            v.write(off % 40_960, &data).unwrap();
+            off += 8 * 1024;
         });
-        group.bench_function(BenchmarkId::new("read_8k", &label), |b| {
-            let mut v = volume(layout);
-            v.write(0, &vec![1u8; 40_960]).unwrap();
-            let mut off = 0u64;
-            b.iter(|| {
-                let out = v.read(off % 32_768, 8 * 1024).unwrap();
-                off += 8 * 1024;
-                out
-            });
+        let mut v = volume(layout);
+        v.write(0, &vec![1u8; 40_960]).unwrap();
+        let mut off = 0u64;
+        time(&format!("volume_io/read_8k/{layout:?}"), 8 * 1024, || {
+            off += 8 * 1024;
+            v.read(off % 32_768, 8 * 1024).unwrap()
         });
     }
     // Sub-block read-modify-write cost.
-    group.throughput(Throughput::Bytes(64));
-    group.bench_function("sub_block_write_64B", |b| {
-        let mut v = volume(Layout::Interleaved);
-        let data = vec![0xEEu8; 64];
-        let mut off = 100u64;
-        b.iter(|| {
-            v.write(off % 40_000, &data).unwrap();
-            off += 512;
-        });
+    let mut v = volume(Layout::Interleaved);
+    let data = vec![0xEEu8; 64];
+    let mut off = 100u64;
+    time("volume_io/sub_block_write_64B", 64, || {
+        v.write(off % 40_000, &data).unwrap();
+        off += 512;
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_volume_io);
-criterion_main!(benches);

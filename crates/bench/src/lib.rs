@@ -23,14 +23,15 @@
 //! | `gc_effectiveness` | §5.1 log garbage collection |
 //! | `sensitivity` | reliability-model parameter elasticities |
 //!
-//! Criterion benches (`cargo bench -p fab-bench`) cover erasure-code
-//! throughput, protocol operation latency, reliability-model evaluation,
-//! and volume I/O.
+//! The `benches/` targets (`cargo bench -p fab-bench`, timed by [`timer`])
+//! cover erasure-code throughput, protocol operation latency,
+//! reliability-model evaluation, and volume I/O.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod table1;
+pub mod timer;
 pub mod workload;
 
 pub use table1::{measure_ls97, measure_ours, render, PaperCosts, Table1Row};

@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -63,7 +62,7 @@ pub type ValueId = u64;
 pub const NIL: ValueId = 0;
 
 /// One operation of a recorded history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpRecord {
     /// The value written or read.
     pub value: ValueId,
@@ -146,7 +145,7 @@ impl fmt::Display for Violation {
 impl std::error::Error for Violation {}
 
 /// A recorded history of register operations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct History {
     ops: Vec<OpRecord>,
 }

@@ -3,102 +3,92 @@
 //! with an injected stale read must always fail.
 
 use fab_checker::{History, OpRecord, NIL};
-use proptest::prelude::*;
+use propcheck::{ensure, ensure_eq, Gen};
 
-/// Generates a history by simulating a sequential register: operations
-/// execute one after another with random durations and idle gaps, so the
-/// history is trivially linearizable.
-fn sequential_history(ops: &[(bool, u64, u64)]) -> (History, Vec<u64>) {
-    // ops: (is_write, duration, gap)
+/// Generates a history by simulating a sequential register: `len`
+/// operations execute one after another with random durations (below
+/// `spread`) and idle gaps, so the history is trivially linearizable.
+fn sequential_history(g: &mut Gen, len: std::ops::Range<usize>, spread: u64) -> History {
     let mut h = History::new();
     let mut now = 0u64;
     let mut current = NIL;
     let mut next_value = 1u64;
-    let mut read_times = Vec::new();
-    for &(is_write, duration, gap) in ops {
-        let start = now;
-        let end = now + duration;
-        if is_write {
-            h.push(OpRecord::write(next_value, start, end).committed());
+    for _ in 0..g.range(len) {
+        let end = now + g.range(0..spread);
+        if g.bool() {
+            h.push(OpRecord::write(next_value, now, end).committed());
             current = next_value;
             next_value += 1;
         } else {
-            h.push(OpRecord::read(current, start, end));
-            read_times.push(start);
+            h.push(OpRecord::read(current, now, end));
         }
-        now = end + 1 + gap;
+        now = end + 1 + g.range(0..spread);
     }
-    (h, read_times)
+    h
 }
 
-proptest! {
-    #[test]
-    fn sequential_histories_always_pass(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..5, 0u64..5), 1..60)
-    ) {
-        let (h, _) = sequential_history(&ops);
-        prop_assert!(h.check().is_ok(), "{h:?}");
+/// The instant ten ticks after everything in `h` has ended.
+fn after(h: &History) -> u64 {
+    h.ops().iter().filter_map(|o| o.end).max().unwrap_or(0) + 10
+}
+
+propcheck::properties! {
+    cases: 256;
+
+    fn sequential_histories_always_pass(g) {
+        let h = sequential_history(g, 1..60, 5);
+        ensure!(h.check().is_ok(), "{h:?}");
     }
 
-    #[test]
-    fn stale_read_injection_always_fails(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..5, 0u64..5), 4..60),
-        pick in any::<prop::sample::Index>(),
-    ) {
-        // Need at least two committed writes so a read can be stale.
-        let writes = ops.iter().filter(|(w, _, _)| *w).count();
-        prop_assume!(writes >= 2);
-        let (mut h, _) = sequential_history(&ops);
+    fn stale_read_injection_always_fails(g) {
+        let mut h = sequential_history(g, 4..60, 5);
         // Find the last write's value and an earlier value, then append a
         // read of the earlier value after everything — provably stale.
-        let committed: Vec<u64> = h
+        let mut committed: Vec<u64> = h
             .ops()
             .iter()
             .filter(|o| !o.is_read && o.committed)
             .map(|o| o.value)
             .collect();
+        // A read can only be stale after two committed writes: top up the
+        // rare prefix that drew fewer.
+        while committed.len() < 2 {
+            let (v, e) = (committed.len() as u64 + 1, after(&h));
+            h.push(OpRecord::write(v, e, e + 1).committed());
+            committed.push(v);
+        }
         let last = *committed.last().unwrap();
-        let stale = committed[pick.index(committed.len() - 1)];
-        prop_assume!(stale != last);
-        let end_of_time = h.ops().iter().filter_map(|o| o.end).max().unwrap() + 10;
+        let stale = committed[g.range(0..committed.len() - 1)];
+        let e = after(&h);
         // A read of the LAST value pins it into the order...
-        h.push(OpRecord::read(last, end_of_time, end_of_time + 1));
+        h.push(OpRecord::read(last, e, e + 1));
         // ...then a stale read afterwards must create a cycle.
-        h.push(OpRecord::read(stale, end_of_time + 2, end_of_time + 3));
-        prop_assert!(h.check().is_err(), "{h:?}");
+        h.push(OpRecord::read(stale, e + 2, e + 3));
+        ensure!(h.check().is_err(), "{h:?}");
     }
 
-    #[test]
-    fn overlap_never_causes_false_positives(
-        seed in any::<u64>(),
-        count in 2usize..30,
-    ) {
-        // All operations fully overlap: no real-time edges at all, so any
-        // values may appear — the checker must accept.
+    /// All operations fully overlap: no real-time edges at all, so any values
+    /// may appear — the checker must accept.
+    fn overlap_never_causes_false_positives(g) {
         let mut h = History::new();
         let mut v = 1u64;
-        let mut s = seed;
-        for _ in 0..count {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if s.is_multiple_of(2) {
+        for _ in 0..g.range(2..30) {
+            if g.bool() {
                 h.push(OpRecord::write(v, 0, 1000).committed());
                 v += 1;
             } else if v > 1 {
-                h.push(OpRecord::read(1 + (s >> 8) % (v - 1), 0, 1000));
+                h.push(OpRecord::read(g.range(1..v), 0, 1000));
             }
         }
-        prop_assert!(h.check().is_ok());
+        ensure!(h.check().is_ok());
     }
 
-    #[test]
-    fn figure5_injection_always_fails(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..5, 0u64..5), 0..50),
-    ) {
-        // Append the paper's Figure 5 anomaly to ANY valid sequential
-        // prefix: a partial write crashes, a later read misses its value,
-        // and the value surfaces in an even later read. The checker must
-        // reject every such history.
-        let (mut h, _) = sequential_history(&ops);
+    /// Append the paper's Figure 5 anomaly to ANY valid sequential prefix: a
+    /// partial write crashes, a later read misses its value, and the value
+    /// surfaces in an even later read. The checker must reject every such
+    /// history.
+    fn figure5_injection_always_fails(g) {
+        let mut h = sequential_history(g, 0..50, 5);
         let current = h
             .ops()
             .iter()
@@ -106,44 +96,32 @@ proptest! {
             .map(|o| o.value)
             .next_back()
             .unwrap_or(NIL);
-        let fresh = h
-            .ops()
-            .iter()
-            .map(|o| o.value)
-            .max()
-            .unwrap_or(NIL) + 1;
-        let e = h.ops().iter().filter_map(|o| o.end).max().unwrap_or(0) + 10;
+        let fresh = h.ops().iter().map(|o| o.value).max().unwrap_or(NIL) + 1;
+        let e = after(&h);
         h.push(OpRecord::write(fresh, e, e + 1)); // partial: crash at e+1
         h.push(OpRecord::read(current, e + 2, e + 3)); // misses it
         h.push(OpRecord::read(fresh, e + 4, e + 5)); // late surfacing
-        prop_assert!(h.check().is_err(), "{h:?}");
+        ensure!(h.check().is_err(), "{h:?}");
     }
 
-    #[test]
-    fn rt_order_inversion_always_fails(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..5, 0u64..5), 0..50),
-    ) {
-        // Append a real-time order inversion to ANY valid sequential
-        // prefix: a read returns v_f strictly before an interposed value
-        // v_mid is written and read, yet v_f is only written afterwards.
-        // Definition 5 then orders v_f < v_mid AND v_mid < v_f — a cycle
-        // the checker must always detect.
-        let (mut h, _) = sequential_history(&ops);
+    /// Append a real-time order inversion to ANY valid sequential prefix: a
+    /// read returns v_f strictly before an interposed value v_mid is written
+    /// and read, yet v_f is only written afterwards. Definition 5 then orders
+    /// v_f < v_mid AND v_mid < v_f — a cycle the checker must always detect.
+    fn rt_order_inversion_always_fails(g) {
+        let mut h = sequential_history(g, 0..50, 5);
         let top = h.ops().iter().map(|o| o.value).max().unwrap_or(NIL);
         let (v_mid, v_f) = (top + 1, top + 2);
-        let e = h.ops().iter().filter_map(|o| o.end).max().unwrap_or(0) + 10;
+        let e = after(&h);
         h.push(OpRecord::read(v_f, e, e + 1)); // read before the write!
         h.push(OpRecord::write(v_mid, e + 2, e + 3).committed());
         h.push(OpRecord::read(v_mid, e + 4, e + 5));
         h.push(OpRecord::write(v_f, e + 6, e + 7).committed());
-        prop_assert!(h.check().is_err(), "{h:?}");
+        ensure!(h.check().is_err(), "{h:?}");
     }
 
-    #[test]
-    fn check_is_deterministic(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..4, 0u64..4), 1..40)
-    ) {
-        let (h, _) = sequential_history(&ops);
-        prop_assert_eq!(h.check().is_ok(), h.check().is_ok());
+    fn check_is_deterministic(g) {
+        let h = sequential_history(g, 1..40, 4);
+        ensure_eq!(h.check().is_ok(), h.check().is_ok());
     }
 }

@@ -40,10 +40,6 @@ impl Effects for CtxFx<'_, '_> {
     fn set_timer(&mut self, delay: u64) -> u64 {
         self.ctx.set_timer(delay).value()
     }
-    fn cancel_timer(&mut self, _id: u64) {
-        // Simulator timers self-invalidate when the coordinator no longer
-        // tracks them; dropping the cancel keeps the adapter stateless.
-    }
     fn now(&self) -> u64 {
         self.ctx.now()
     }

@@ -1290,7 +1290,6 @@ impl Coordinator {
         op.replies = vec![None; self.cfg.n()];
         if let Some(t) = op.grace_timer.take() {
             self.grace_timers.remove(&t);
-            fx.cancel_timer(t);
         }
         op.grace_expired = false;
         let label = phase_label(&op.phase);
@@ -1368,11 +1367,9 @@ impl Coordinator {
         self.rounds.remove(&op.round);
         if let Some(t) = op.retransmit_timer {
             self.timers.remove(&t);
-            fx.cancel_timer(t);
         }
         if let Some(t) = op.grace_timer {
             self.grace_timers.remove(&t);
-            fx.cancel_timer(t);
         }
         if self.tracing {
             if let Some(mut trace) = self.traces.remove(&op_id) {

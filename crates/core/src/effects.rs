@@ -17,10 +17,9 @@ pub trait Effects {
     fn send(&mut self, to: ProcessId, env: Envelope);
 
     /// Arms a one-shot timer `delay` ticks from now, returning its id.
+    /// There is no cancel: the coordinator forgets a timer it no longer
+    /// needs and ignores it when it fires.
     fn set_timer(&mut self, delay: u64) -> u64;
-
-    /// Cancels a pending timer; unknown ids are ignored.
-    fn cancel_timer(&mut self, id: u64);
 
     /// Current time in ticks (virtual in the simulator, microseconds on
     /// the threaded runtime). Used only as the `newTS` clock hint.
@@ -56,7 +55,6 @@ pub(crate) mod mock {
         pub sent: Vec<(ProcessId, Envelope)>,
         pub now: u64,
         pub next_timer: u64,
-        pub cancelled: Vec<u64>,
         pub rand_state: u64,
     }
 
@@ -67,9 +65,6 @@ pub(crate) mod mock {
         fn set_timer(&mut self, _delay: u64) -> u64 {
             self.next_timer += 1;
             self.next_timer
-        }
-        fn cancel_timer(&mut self, id: u64) {
-            self.cancelled.push(id);
         }
         fn now(&self) -> u64 {
             self.now

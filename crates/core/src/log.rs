@@ -17,11 +17,10 @@
 
 use crate::value::BlockValue;
 use fab_timestamp::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The persistent per-process version log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log {
     entries: BTreeMap<Timestamp, BlockValue>,
 }

@@ -13,13 +13,10 @@ use crate::value::BlockValue;
 use bytes::Bytes;
 use fab_simnet::WireSize;
 use fab_timestamp::{ProcessId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one storage-register instance hosted by the bricks (one per
 /// stripe of a logical volume). Instances are fully independent (§4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StripeId(pub u64);
 
 impl std::fmt::Display for StripeId {
@@ -30,7 +27,7 @@ impl std::fmt::Display for StripeId {
 
 /// The block parameter of an `Order&Read` request: a specific process's
 /// block, or `ALL` for whole-stripe recovery (Alg. 2 line 49).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BlockTarget {
     /// Every recipient reports its block (`j = ALL`).
     All,
@@ -54,7 +51,7 @@ impl BlockTarget {
 
 /// One block update inside a `Modify` request: the old and new values of
 /// one data block (the paper's `b_j` and `b`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockUpdate {
     /// The old value of the block (may be `nil` for a fresh stripe).
     pub old: BlockValue,
@@ -72,7 +69,7 @@ impl WireSize for BlockUpdate {
 /// Updates are parallel to the request's `js` list (single-block writes
 /// carry exactly one entry; the footnote-2 multi-block extension carries
 /// several).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModifyPayload {
     /// The paper's pseudocode payload: old and new values of every written
     /// block. Serves both the written processes (each stores its new
@@ -110,7 +107,7 @@ impl WireSize for ModifyPayload {
 }
 
 /// A coordinator-to-replica request (Algorithms 2 and 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// `[Read, targets]` — report `max-ts`, and the newest block if the
     /// recipient is in `targets`.
@@ -197,7 +194,7 @@ impl WireSize for Request {
 const TS_BYTES: usize = 12;
 
 /// A replica-to-coordinator reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Reply to `Read`.
     ReadR {
@@ -283,7 +280,7 @@ impl WireSize for Reply {
 }
 
 /// A routed protocol message: request or reply for one stripe's register.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Which register instance this message addresses.
     pub stripe: StripeId,
@@ -295,7 +292,7 @@ pub struct Envelope {
 }
 
 /// The two directions of protocol traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Coordinator → replica.
     Request(Request),

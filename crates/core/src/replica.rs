@@ -21,13 +21,12 @@ use crate::messages::{BlockTarget, ModifyPayload, Reply, Request};
 use crate::value::BlockValue;
 use bytes::Bytes;
 use fab_timestamp::{ProcessId, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Disk-I/O counters following Table 1's cost model: reading a block from
 /// the log = one disk read, appending a block = one disk write, timestamp
 /// updates (including `⊥` entries) are NVRAM and free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskMetrics {
     /// Block reads from the log.
     pub reads: u64,

@@ -15,11 +15,10 @@
 
 use bytes::Bytes;
 use fab_simnet::WireSize;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value a process may hold in its log for one timestamp.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BlockValue {
     /// The paper's `⊥`: a timestamp-only entry with no block.
     Bottom,
@@ -93,7 +92,7 @@ impl fmt::Display for BlockValue {
 
 /// The value of a whole stripe: either the distinguished initial `nil`
 /// (reads as zeros) or `m` data blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StripeValue {
     /// The register has its initial content (all zeros).
     Nil,

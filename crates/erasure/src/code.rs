@@ -20,7 +20,6 @@ use crate::kernel::{mul_acc_xor, xor_slice};
 use crate::parity::ParityCode;
 use crate::reed_solomon::ReedSolomon;
 use crate::replication::Replication;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -130,7 +129,7 @@ pub type Result<T> = std::result::Result<T, CodeError>;
 /// assert!((p.storage_overhead() - 1.6).abs() < 1e-9);
 /// # Ok::<(), fab_erasure::CodeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CodeParams {
     m: usize,
     n: usize,
@@ -219,7 +218,7 @@ impl<'a> From<(usize, &'a [u8])> for Share<'a> {
 }
 
 /// Which code family a [`Codec`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodeKind {
     /// m = 1: every block is a full copy of the datum.
     Replication,

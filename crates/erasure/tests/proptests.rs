@@ -8,11 +8,12 @@
 #![allow(clippy::needless_range_loop)] // indices double as share ids
 
 use fab_erasure::{Codec, Gf256, Matrix, Share};
-use proptest::prelude::*;
+use propcheck::{ensure, ensure_eq, Gen};
 
-/// Strategy producing valid (m, n) pairs small enough to enumerate subsets.
-fn params() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..=8).prop_flat_map(|m| (Just(m), m..=(m + 6).min(12)))
+/// A valid (m, n) pair small enough to enumerate subsets.
+fn params(g: &mut Gen) -> (usize, usize) {
+    let m = g.range(1usize..=8);
+    (m, g.range(m..=(m + 6).min(12)))
 }
 
 /// The (m, n) grid the zero-copy equivalence tests must cover, spanning
@@ -23,244 +24,160 @@ const INTO_PARAMS: [(usize, usize); 4] = [(1, 3), (3, 4), (5, 8), (10, 14)];
 /// byte, around the 64-byte SIMD/word boundaries, and a page.
 const INTO_LENS: [usize; 6] = [0, 1, 63, 64, 65, 4096];
 
-/// Strategy picking one (m, n) from the fixed grid plus a block size.
-fn into_case() -> impl Strategy<Value = ((usize, usize), usize)> {
-    (
-        proptest::sample::select(&INTO_PARAMS[..]),
-        proptest::sample::select(&INTO_LENS[..]),
-    )
+/// A stripe of `m` random blocks of `len` bytes.
+fn stripe(g: &mut Gen, m: usize, len: usize) -> Vec<Vec<u8>> {
+    (0..m).map(|_| g.vec(len..=len, Gen::u8)).collect()
 }
 
-/// Deterministic stripe of `m` blocks of `len` bytes from a seed.
-fn seeded_stripe(m: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut s = seed | 1;
-    (0..m)
-        .map(|_| {
-            (0..len)
-                .map(|_| {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (s >> 56) as u8
-                })
-                .collect()
-        })
-        .collect()
+/// A uniformly random `k`-subset of `0..n`, in random order.
+fn subset(g: &mut Gen, n: usize, k: usize) -> Vec<usize> {
+    let mut indices: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        indices.swap(i, g.range(0..=i));
+    }
+    indices.truncate(k);
+    indices
 }
 
-/// Strategy producing a stripe of `m` equal-length random blocks.
-fn stripe(m: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
-    (1usize..=64).prop_flat_map(move |len| {
-        proptest::collection::vec(proptest::collection::vec(any::<u8>(), len), m)
-    })
+/// A stripe of 1..=64-byte blocks, its encoding, a data index `i` and a
+/// replacement block for it.
+#[allow(clippy::type_complexity)]
+fn update(g: &mut Gen) -> (Codec, Vec<Vec<u8>>, Vec<Vec<u8>>, usize, Vec<u8>) {
+    let (m, n) = params(g);
+    let codec = Codec::new(m, n).unwrap();
+    let len = g.range(1usize..=64);
+    let data = stripe(g, m, len);
+    let blocks = codec.encode(&data).unwrap();
+    (codec, data, blocks, g.range(0..m), g.vec(len..=len, Gen::u8))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+propcheck::properties! {
+    cases: 64;
 
-    #[test]
-    fn decode_inverts_encode_on_random_subset(
-        (m, n) in params(),
-        seed in any::<u64>(),
-    ) {
+    fn decode_inverts_encode_on_random_subset(g) {
+        let (m, n) = params(g);
         let codec = Codec::new(m, n).unwrap();
-        let data: Vec<Vec<u8>> = (0..m)
-            .map(|i| (0..24).map(|k| (seed as usize + i * 131 + k * 7) as u8).collect())
-            .collect();
+        let data = stripe(g, m, 24);
         let blocks = codec.encode(&data).unwrap();
-
-        // Pick a pseudo-random m-subset of the n indices from the seed.
-        let mut indices: Vec<usize> = (0..n).collect();
-        let mut s = seed;
-        for i in (1..indices.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            indices.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        indices.truncate(m);
-
-        let shares: Vec<Share<'_>> =
-            indices.iter().map(|&i| Share::new(i, blocks[i].as_slice())).collect();
-        prop_assert_eq!(codec.decode(&shares).unwrap(), data);
+        let shares: Vec<Share<'_>> = subset(g, n, m)
+            .into_iter()
+            .map(|i| Share::new(i, blocks[i].as_slice()))
+            .collect();
+        ensure_eq!(codec.decode(&shares).unwrap(), data);
     }
 
-    #[test]
-    fn modify_agrees_with_reencode(
-        (m, n) in params(),
-        data in (1usize..=8).prop_flat_map(stripe),
-        new_block in proptest::collection::vec(any::<u8>(), 1..=64),
-        i_pick in any::<usize>(),
-    ) {
-        prop_assume!(data.len() == m);
-        let codec = Codec::new(m, n).unwrap();
-        let len = data[0].len();
-        let mut new_block = new_block;
-        new_block.resize(len, 0);
-        let i = i_pick % m;
-
-        let blocks = codec.encode(&data).unwrap();
+    fn modify_agrees_with_reencode(g) {
+        let (codec, data, blocks, i, new_block) = update(g);
         let mut new_data = data.clone();
         new_data[i] = new_block.clone();
         let reencoded = codec.encode(&new_data).unwrap();
-
-        for j in m..n {
+        for j in codec.m()..codec.n() {
             let patched = codec.modify(i, j, &data[i], &new_block, &blocks[j]).unwrap();
-            prop_assert_eq!(&patched, &reencoded[j], "i={} j={}", i, j);
+            ensure_eq!(&patched, &reencoded[j], "i={i} j={j}");
         }
     }
 
-    #[test]
-    fn coded_delta_agrees_with_modify(
-        (m, n) in params(),
-        data in (1usize..=8).prop_flat_map(stripe),
-        new_block in proptest::collection::vec(any::<u8>(), 1..=64),
-        i_pick in any::<usize>(),
-    ) {
-        prop_assume!(data.len() == m);
-        let codec = Codec::new(m, n).unwrap();
-        let len = data[0].len();
-        let mut new_block = new_block;
-        new_block.resize(len, 0);
-        let i = i_pick % m;
-        let blocks = codec.encode(&data).unwrap();
-
-        for j in m..n {
+    fn coded_delta_agrees_with_modify(g) {
+        let (codec, data, blocks, i, new_block) = update(g);
+        for j in codec.m()..codec.n() {
             let delta = codec.coded_delta(i, j, &data[i], &new_block).unwrap();
             let via_delta = codec.apply_coded_delta(&blocks[j], &delta).unwrap();
             let via_modify = codec.modify(i, j, &data[i], &new_block, &blocks[j]).unwrap();
-            prop_assert_eq!(via_delta, via_modify);
+            ensure_eq!(via_delta, via_modify);
         }
     }
 
-    #[test]
-    fn reconstruct_rebuilds_any_block(
-        (m, n) in params(),
-        seed in any::<u64>(),
-        target_pick in any::<usize>(),
-    ) {
+    fn reconstruct_rebuilds_any_block(g) {
+        let (m, n) = params(g);
         let codec = Codec::new(m, n).unwrap();
-        let data: Vec<Vec<u8>> = (0..m)
-            .map(|i| (0..16).map(|k| (seed as usize ^ (i * 251 + k * 13)) as u8).collect())
-            .collect();
-        let blocks = codec.encode(&data).unwrap();
-        let target = target_pick % n;
-        // Use the m shares at indices != target where possible.
+        let blocks = codec.encode(&stripe(g, m, 16)).unwrap();
+        // Use m shares at indices != target (any target when n = m, where
+        // nothing else could be left out).
+        let target = g.range(0..n);
         let shares: Vec<Share<'_>> = (0..n)
-            .filter(|&i| i != target)
+            .filter(|&i| i != target || n == m)
             .take(m)
             .map(|i| Share::new(i, blocks[i].as_slice()))
             .collect();
-        prop_assume!(shares.len() == m);
-        prop_assert_eq!(codec.reconstruct(target, &shares).unwrap(), blocks[target].clone());
+        ensure_eq!(codec.reconstruct(target, &shares).unwrap(), blocks[target].clone());
     }
 
-    #[test]
-    fn encode_into_is_byte_identical_to_encode(
-        ((m, n), len) in into_case(),
-        seed in any::<u64>(),
-    ) {
+    fn encode_into_is_byte_identical_to_encode(g) {
+        let ((m, n), len) = (g.pick(&INTO_PARAMS), g.pick(&INTO_LENS));
         let codec = Codec::new(m, n).unwrap();
-        let data = seeded_stripe(m, len, seed);
+        let data = stripe(g, m, len);
         let expected = codec.encode(&data).unwrap();
 
         // Fresh buffers and dirty reused buffers must both converge on the
         // same bytes as the allocating path.
         let mut out = vec![Vec::new(); n];
         codec.encode_into(&data, &mut out).unwrap();
-        prop_assert_eq!(&out, &expected);
+        ensure_eq!(&out, &expected);
 
         for buf in &mut out {
             buf.clear();
             buf.extend_from_slice(&[0xAB; 9]);
         }
         codec.encode_into(&data, &mut out).unwrap();
-        prop_assert_eq!(&out, &expected);
+        ensure_eq!(&out, &expected);
     }
 
-    #[test]
-    fn decode_into_is_byte_identical_to_decode(
-        ((m, n), len) in into_case(),
-        seed in any::<u64>(),
-    ) {
+    fn decode_into_is_byte_identical_to_decode(g) {
+        let ((m, n), len) = (g.pick(&INTO_PARAMS), g.pick(&INTO_LENS));
         let codec = Codec::new(m, n).unwrap();
-        let data = seeded_stripe(m, len, seed);
+        let data = stripe(g, m, len);
         let blocks = codec.encode(&data).unwrap();
-
-        // Pick a pseudo-random m-subset of share indices from the seed.
-        let mut indices: Vec<usize> = (0..n).collect();
-        let mut s = seed;
-        for i in (1..indices.len()).rev() {
-            s = s.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            indices.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        indices.truncate(m);
-
-        let shares: Vec<Share<'_>> =
-            indices.iter().map(|&i| Share::new(i, blocks[i].as_slice())).collect();
+        let shares: Vec<Share<'_>> = subset(g, n, m)
+            .into_iter()
+            .map(|i| Share::new(i, blocks[i].as_slice()))
+            .collect();
         let expected = codec.decode(&shares).unwrap();
-        prop_assert_eq!(&expected, &data);
+        ensure_eq!(&expected, &data);
 
         let mut out = vec![Vec::new(); m];
         codec.decode_into(&shares, &mut out).unwrap();
-        prop_assert_eq!(&out, &expected);
+        ensure_eq!(&out, &expected);
 
         for buf in &mut out {
             buf.clear();
             buf.extend_from_slice(&[0xCD; 17]);
         }
         codec.decode_into(&shares, &mut out).unwrap();
-        prop_assert_eq!(&out, &expected);
+        ensure_eq!(&out, &expected);
     }
 
-    #[test]
-    fn gf256_field_laws(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
-        let (a, b, c) = (Gf256::new(a), Gf256::new(b), Gf256::new(c));
-        prop_assert_eq!(a + b, b + a);
-        prop_assert_eq!(a * b, b * a);
-        prop_assert_eq!((a + b) + c, a + (b + c));
-        prop_assert_eq!((a * b) * c, a * (b * c));
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-        prop_assert_eq!(a + Gf256::ZERO, a);
-        prop_assert_eq!(a * Gf256::ONE, a);
+    fn gf256_field_laws(g) {
+        let (a, b, c) = (Gf256::new(g.u8()), Gf256::new(g.u8()), Gf256::new(g.u8()));
+        ensure_eq!(a + b, b + a);
+        ensure_eq!(a * b, b * a);
+        ensure_eq!((a + b) + c, a + (b + c));
+        ensure_eq!((a * b) * c, a * (b * c));
+        ensure_eq!(a * (b + c), a * b + a * c);
+        ensure_eq!(a + Gf256::ZERO, a);
+        ensure_eq!(a * Gf256::ONE, a);
         if !b.is_zero() {
-            prop_assert_eq!((a / b) * b, a);
-            prop_assert_eq!(b * b.inv(), Gf256::ONE);
+            ensure_eq!((a / b) * b, a);
+            ensure_eq!(b * b.inv(), Gf256::ONE);
         }
     }
 
-    #[test]
-    fn random_vandermonde_row_subsets_invertible(
-        n in 2usize..=12,
-        seed in any::<u64>(),
-    ) {
-        // Any m distinct rows of an n x m Vandermonde matrix are independent.
-        let m = 1 + (seed as usize % n);
-        let v = Matrix::vandermonde(n, m);
-        let mut indices: Vec<usize> = (0..n).collect();
-        let mut s = seed;
-        for i in (1..indices.len()).rev() {
-            s = s.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            indices.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        indices.truncate(m);
-        prop_assert!(v.select_rows(&indices).inverted().is_some());
+    /// Any m distinct rows of an n x m Vandermonde matrix are independent.
+    fn random_vandermonde_row_subsets_invertible(g) {
+        let n = g.range(2usize..=12);
+        let m = g.range(1..=n);
+        let rows = subset(g, n, m);
+        ensure!(Matrix::vandermonde(n, m).select_rows(&rows).inverted().is_some());
     }
 
-    #[test]
-    fn matrix_inverse_round_trip(n in 1usize..=6, seed in any::<u64>()) {
-        // Random matrices are usually invertible; when they are, A * A^-1 = I.
-        let mut s = seed;
-        let mut rows: Vec<Vec<u8>> = Vec::new();
-        for _ in 0..n {
-            let mut row = Vec::new();
-            for _ in 0..n {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                row.push((s >> 33) as u8);
-            }
-            rows.push(row);
-        }
+    /// Random matrices are usually invertible; when they are, A * A^-1 = I.
+    fn matrix_inverse_round_trip(g) {
+        let n = g.range(1usize..=6);
+        let rows = stripe(g, n, n);
         let refs: Vec<&[u8]> = rows.iter().map(std::vec::Vec::as_slice).collect();
         let mat = Matrix::from_rows(&refs);
         if let Some(inv) = mat.inverted() {
-            prop_assert!((&mat * &inv).is_identity());
-            prop_assert!((&inv * &mat).is_identity());
+            ensure!((&mat * &inv).is_identity());
+            ensure!((&inv * &mat).is_identity());
         }
     }
 }

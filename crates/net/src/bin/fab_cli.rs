@@ -39,6 +39,7 @@ use fab_core::{
 };
 use fab_net::NetClient;
 use fab_wire::{AdminOp, AdminResponse, RepairProgress};
+use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
@@ -105,33 +106,32 @@ fn stripe_text(text: &str, m: usize, block_size: usize) -> Vec<Bytes> {
         .collect()
 }
 
-fn print_block(j: usize, v: &BlockValue) {
+fn write_block(out: &mut impl Write, j: u32, v: &BlockValue) -> io::Result<()> {
     match v {
-        BlockValue::Bottom => println!("block {j}: (bottom)"),
-        BlockValue::Nil => println!("block {j}: (nil)"),
+        BlockValue::Bottom => writeln!(out, "block {j}: (bottom)"),
+        BlockValue::Nil => writeln!(out, "block {j}: (nil)"),
         BlockValue::Data(b) => {
             let text = String::from_utf8_lossy(b);
-            println!("block {j}: {:?}", text.trim_end_matches('\0'));
+            writeln!(out, "block {j}: {:?}", text.trim_end_matches('\0'))
         }
     }
 }
 
-fn print_result(result: &OpResult) {
-    match result {
-        OpResult::Written => println!("ok: written"),
-        OpResult::Stripe(StripeValue::Nil) => println!("stripe: (nil — never written)"),
-        OpResult::Stripe(StripeValue::Data(blocks)) => {
-            for (j, b) in blocks.iter().enumerate() {
-                print_block(j, &BlockValue::Data(b.clone()));
-            }
-        }
-        OpResult::Block(v) => print_block(0, v),
-        OpResult::Blocks(vs) => {
-            for (j, v) in vs.iter().enumerate() {
-                print_block(j, v);
-            }
-        }
-        other => println!("result: {other:?}"),
+/// Prints `op`'s result, labelling each block with the index `op` asked
+/// for.
+fn write_result(out: &mut impl Write, op: &ClientOp, result: &OpResult) -> io::Result<()> {
+    match (op, result) {
+        (_, OpResult::Written) => writeln!(out, "ok: written"),
+        (_, OpResult::Stripe(StripeValue::Nil)) => writeln!(out, "stripe: (nil — never written)"),
+        (_, OpResult::Stripe(StripeValue::Data(blocks))) => (0u32..)
+            .zip(blocks)
+            .try_for_each(|(j, b)| write_block(out, j, &BlockValue::Data(b.clone()))),
+        (ClientOp::ReadBlock { j, .. }, OpResult::Block(v)) => write_block(out, *j, v),
+        (ClientOp::ReadBlocks { js, .. }, OpResult::Blocks(vs)) => js
+            .iter()
+            .zip(vs)
+            .try_for_each(|(j, v)| write_block(out, *j, v)),
+        (_, other) => writeln!(out, "result: {other:?}"),
     }
 }
 
@@ -145,13 +145,23 @@ fn index_arg(s: &str) -> Result<usize, String> {
     s.parse::<usize>().map_err(|e| format!("block index: {e}"))
 }
 
+/// The parsed operand of `flag`; both ways to fail name the flag.
+fn value<T: std::str::FromStr<Err: std::fmt::Display>>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let operand = it.next().ok_or(format!("{flag} needs {what}"))?;
+    operand.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 /// Parses `argv` (program name already stripped) into a [`Cli`]. Pure:
 /// no sockets are touched and no I/O happens; errors are human-readable
 /// one-liners later paired with [`USAGE`].
 fn parse_args(argv: &[String]) -> Result<Cli, String> {
     let mut cluster: Option<Vec<SocketAddr>> = None;
-    let mut m = None;
-    let mut block_size = None;
+    let mut m: Option<usize> = None;
+    let mut block_size: Option<usize> = None;
     let mut stripes: Option<u64> = None;
     let mut stripes_per_sec = 0u64;
     let mut bytes_per_sec = 0u64;
@@ -172,60 +182,15 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
                     .collect();
                 cluster = Some(addrs.map_err(|e| format!("--cluster: {e}"))?);
             }
-            "--m" => {
-                m = Some(
-                    it.next()
-                        .ok_or("--m needs a stripe width")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--m: {e}"))?,
-                );
-            }
-            "--block-size" => {
-                block_size = Some(
-                    it.next()
-                        .ok_or("--block-size needs a byte count")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--block-size: {e}"))?,
-                );
-            }
-            "--stripes" => {
-                stripes = Some(
-                    it.next()
-                        .ok_or("--stripes needs a stripe count")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--stripes: {e}"))?,
-                );
-            }
-            "--stripes-per-sec" => {
-                stripes_per_sec = it
-                    .next()
-                    .ok_or("--stripes-per-sec needs a rate")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--stripes-per-sec: {e}"))?;
-            }
-            "--bytes-per-sec" => {
-                bytes_per_sec = it
-                    .next()
-                    .ok_or("--bytes-per-sec needs a rate")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--bytes-per-sec: {e}"))?;
-            }
-            "--max-inflight" => {
-                max_inflight = it
-                    .next()
-                    .ok_or("--max-inflight needs a count")?
-                    .parse::<u32>()
-                    .map_err(|e| format!("--max-inflight: {e}"))?;
-            }
+            "--m" => m = Some(value(&mut it, arg, "a stripe width")?),
+            "--block-size" => block_size = Some(value(&mut it, arg, "a byte count")?),
+            "--stripes" => stripes = Some(value(&mut it, arg, "a stripe count")?),
+            "--stripes-per-sec" => stripes_per_sec = value(&mut it, arg, "a rate")?,
+            "--bytes-per-sec" => bytes_per_sec = value(&mut it, arg, "a rate")?,
+            "--max-inflight" => max_inflight = value(&mut it, arg, "a count")?,
+            "--node" => node = value(&mut it, arg, "a brick index")?,
             "--all" => all = true,
             "--watch" => watch = true,
-            "--node" => {
-                node = it
-                    .next()
-                    .ok_or("--node needs a brick index")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--node: {e}"))?;
-            }
             _ => rest.push(arg),
         }
     }
@@ -300,7 +265,7 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
     })
 }
 
-fn print_progress(p: &RepairProgress) {
+fn write_progress(out: &mut impl Write, p: &RepairProgress) -> io::Result<()> {
     let state = if p.running {
         "running"
     } else if p.complete {
@@ -310,40 +275,75 @@ fn print_progress(p: &RepairProgress) {
     } else {
         "idle (no repair started)"
     };
-    println!("repair: {state}");
-    println!(
+    writeln!(out, "repair: {state}")?;
+    writeln!(
+        out,
         "  stripes: {} planned, {} repaired, {} skipped, {} failed ({} retries)",
         p.planned, p.repaired, p.skipped, p.failed, p.retried
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  watermark {} / bytes reconstructed {} / throttle waits {}",
         p.watermark, p.bytes_reconstructed, p.throttle_waits
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  scrub latency: p50 {}us, p99 {}us",
         p.scrub_p50_micros, p.scrub_p99_micros
-    );
+    )
 }
 
 /// Renders a [`StatsReport`] in the same text exposition format as
 /// `fab_obs::Snapshot::render`, prefixed with the answering node.
-fn print_stats(report: &fab_wire::StatsReport) {
-    println!("node {}", report.node);
+fn write_stats(out: &mut impl Write, report: &fab_wire::StatsReport) -> io::Result<()> {
+    writeln!(out, "node {}", report.node)?;
     for e in &report.counters {
-        println!("counter {} {}", e.name, e.value);
+        writeln!(out, "counter {} {}", e.name, e.value)?;
     }
     for e in &report.gauges {
-        println!("gauge {} {}", e.name, e.value);
+        writeln!(out, "gauge {} {}", e.name, e.value)?;
     }
     for h in &report.histograms {
-        println!(
+        writeln!(
+            out,
             "histogram {} count={} p50={} p95={} p99={}",
             h.name, h.count, h.p50, h.p95, h.p99
-        );
+        )?;
+    }
+    Ok(())
+}
+
+/// Why a run did not finish: a usage or cluster error to report, or the
+/// output stream failing under us.
+#[derive(Debug)]
+enum Failure {
+    Cli(String),
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Cli(message)
     }
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
+/// One admin exchange with `node`; a refusal or an unreachable brick is
+/// the run's error message.
+fn admin(client: &mut NetClient, node: usize, op: &AdminOp) -> Result<AdminResponse, Failure> {
+    Ok(client.try_admin(node, op).map_err(|e| e.to_string())?)
+}
+
+fn unexpected(reply: &AdminResponse) -> Failure {
+    Failure::Cli(format!("unexpected reply: {reply:?}"))
+}
+
+fn run(argv: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let cli = parse_args(argv)?;
     let Cli {
         cluster,
@@ -359,9 +359,8 @@ fn run(argv: &[String]) -> Result<(), String> {
     // a data verb is one `invoke` whose OpResult is printed.
     match command {
         Command::Data(op) => {
-            let result = client.invoke(op).map_err(|e| e.to_string())?;
-            print_result(&result);
-            Ok(())
+            let result = client.invoke(op.clone()).map_err(|e| e.to_string())?;
+            write_result(out, &op, &result)?;
         }
         Command::Repair {
             target,
@@ -383,55 +382,56 @@ fn run(argv: &[String]) -> Result<(), String> {
                 max_inflight,
                 scrub_all,
             };
-            match client.try_admin(node, &op) {
-                Ok(AdminResponse::Started) => {
-                    println!("ok: repair started on node {node}");
-                    Ok(())
-                }
-                Ok(other) => Err(format!("unexpected reply: {other:?}")),
-                Err(e) => Err(e.to_string()),
+            match admin(&mut client, node, &op)? {
+                AdminResponse::Started => writeln!(out, "ok: repair started on node {node}")?,
+                other => return Err(unexpected(&other)),
             }
         }
-        Command::RepairStatus { node } => match client.try_admin(node, &AdminOp::RepairStatus) {
-            Ok(AdminResponse::Status(p)) => {
-                print_progress(&p);
-                Ok(())
-            }
-            Ok(other) => Err(format!("unexpected reply: {other:?}")),
-            Err(e) => Err(e.to_string()),
+        Command::RepairStatus { node } => match admin(&mut client, node, &AdminOp::RepairStatus)? {
+            AdminResponse::Status(p) => write_progress(out, &p)?,
+            other => return Err(unexpected(&other)),
         },
-        Command::RepairAbort { node } => match client.try_admin(node, &AdminOp::RepairAbort) {
-            Ok(AdminResponse::Aborted) => {
-                println!("ok: repair aborted on node {node}");
-                Ok(())
-            }
-            Ok(other) => Err(format!("unexpected reply: {other:?}")),
-            Err(e) => Err(e.to_string()),
+        Command::RepairAbort { node } => match admin(&mut client, node, &AdminOp::RepairAbort)? {
+            AdminResponse::Aborted => writeln!(out, "ok: repair aborted on node {node}")?,
+            other => return Err(unexpected(&other)),
         },
         Command::Stats { node, watch } => loop {
-            match client.try_admin(node, &AdminOp::StatsSnapshot) {
-                Ok(AdminResponse::Stats(report)) => print_stats(&report),
-                Ok(other) => return Err(format!("unexpected reply: {other:?}")),
-                Err(e) => return Err(e.to_string()),
+            match admin(&mut client, node, &AdminOp::StatsSnapshot)? {
+                AdminResponse::Stats(report) => write_stats(out, &report)?,
+                other => return Err(unexpected(&other)),
             }
             if !watch {
-                return Ok(());
+                break;
             }
-            println!();
+            writeln!(out)?;
             std::thread::sleep(std::time::Duration::from_secs(2));
         },
+    }
+    Ok(())
+}
+
+/// The process's exit status: 0 when the run finished — or when its
+/// reader went away first (`fab-cli … | head -1`), since nobody is left to
+/// tell — and 2, after a message on stderr, otherwise.
+fn exit_code(outcome: Result<(), Failure>) -> u8 {
+    match outcome {
+        Ok(()) => 0,
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(Failure::Output(e)) => {
+            eprintln!("fab-cli: stdout: {e}");
+            2
+        }
+        Err(Failure::Cli(e)) => {
+            eprintln!("fab-cli: {e}\n{USAGE}");
+            2
+        }
     }
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fab-cli: {e}\n{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    let outcome = run(&argv, &mut io::stdout().lock());
+    ExitCode::from(exit_code(outcome))
 }
 
 #[cfg(test)]
@@ -674,5 +674,58 @@ mod tests {
         assert!(err.contains("--node"), "{err}");
         let err = parse_args(&with_base(&["repair-status", "--node", "x"])).unwrap_err();
         assert!(err.contains("--node"), "{err}");
+    }
+
+    #[test]
+    fn blocks_are_labelled_with_the_requested_indices() {
+        let printed = |op: &ClientOp, result: &OpResult| {
+            let mut out = Vec::new();
+            write_result(&mut out, op, result).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let block = |text: &str| BlockValue::Data(pad(text, 8));
+        assert_eq!(
+            printed(&ClientOp::read_block(StripeId(7), 2), &OpResult::Block(block("two"))),
+            "block 2: \"two\"\n"
+        );
+        assert_eq!(
+            printed(
+                &ClientOp::read_blocks(StripeId(7), vec![1, 3]),
+                &OpResult::Blocks(vec![block("one"), BlockValue::Nil]),
+            ),
+            "block 1: \"one\"\nblock 3: (nil)\n"
+        );
+        // A whole stripe is still numbered from its first block.
+        assert_eq!(
+            printed(
+                &ClientOp::read_stripe(StripeId(7)),
+                &OpResult::Stripe(StripeValue::Data(vec![pad("a", 8), pad("b", 8)])),
+            ),
+            "block 0: \"a\"\nblock 1: \"b\"\n"
+        );
+    }
+
+    /// A stdout whose reader has gone (`fab-cli … | head -1`).
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_run_quietly_with_exit_0() {
+        let op = ClientOp::read_block(StripeId(0), 0);
+        let outcome = write_result(&mut ClosedPipe, &op, &OpResult::Written).map_err(Failure::from);
+        assert!(matches!(&outcome, Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe));
+        assert_eq!(exit_code(outcome), 0);
+        // Any other failure of the stream, or of the run, is exit 2.
+        assert_eq!(exit_code(Err(io::Error::other("disk full").into())), 2);
+        assert_eq!(exit_code(run(&sv(&["read-stripe", "1"]), &mut ClosedPipe)), 2);
+        assert_eq!(exit_code(Ok(())), 0);
     }
 }

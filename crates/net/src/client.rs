@@ -65,18 +65,21 @@ impl NetClient {
         }
     }
 
-    /// One request/reply exchange against brick `target`. Any failure
+    /// One request/reply exchange against brick `target`: sends the frame
+    /// `encode` writes for a fresh correlation id and waits for the reply
+    /// `matching` recognises as its kind with that id. Any failure
     /// invalidates the cached connection.
-    fn try_brick(
+    fn exchange<T>(
         &mut self,
         target: usize,
-        op: &ClientOp,
-    ) -> Result<Result<OpResult, ClientError>, ()> {
+        encode: impl FnOnce(u64, &mut Vec<u8>),
+        matching: impl Fn(Message) -> Result<(u64, Result<T, ClientError>), Message>,
+    ) -> Result<Result<T, ClientError>, ()> {
         let addr = *self.cluster.get(target).ok_or(())?;
         let id = self.next_id;
         self.next_id += 1;
         self.encode_buf.clear();
-        encode_client_request_into(id, op, &mut self.encode_buf);
+        encode(id, &mut self.encode_buf);
         let frame = std::mem::take(&mut self.encode_buf);
         let attempt_timeout = self.attempt_timeout;
 
@@ -93,15 +96,13 @@ impl NetClient {
         let outcome = (|| {
             stream.write_all(&frame).map_err(|_| ())?;
             loop {
-                match read_frame(stream) {
+                match read_frame(stream).map(|(msg, _)| matching(msg)) {
+                    Ok(Ok((got, result))) if got == id => return Ok(result),
                     // Defensive: ignore replies to correlation ids we have
                     // given up on (possible only if a timeout policy ever
                     // keeps a connection — today every failure drops it).
-                    Ok((Message::ClientReply { id: got, result }, _)) if got == id => {
-                        return Ok(result);
-                    }
-                    Ok((Message::ClientReply { .. }, _)) => continue,
-                    Ok(_) => return Err(()), // peers never talk to clients
+                    Ok(Ok(_) | Err(Message::ClientReply { .. } | Message::AdminReply { .. })) => {}
+                    Ok(Err(_)) => return Err(()), // peers never talk to clients
                     Err(RecvError::Closed | RecvError::Io(_) | RecvError::Wire(_)) => {
                         return Err(());
                     }
@@ -140,55 +141,6 @@ impl NetClient {
         self.invoke(ClientOp::write_block(stripe, j, block))
     }
 
-    /// One admin request/reply exchange against brick `target`. Any
-    /// failure invalidates the cached connection (same contract as
-    /// `try_brick`).
-    fn try_admin_brick(
-        &mut self,
-        target: usize,
-        op: &AdminOp,
-    ) -> Result<Result<AdminResponse, ClientError>, ()> {
-        let addr = *self.cluster.get(target).ok_or(())?;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.encode_buf.clear();
-        encode_admin_request_into(id, op, &mut self.encode_buf);
-        let frame = std::mem::take(&mut self.encode_buf);
-        let attempt_timeout = self.attempt_timeout;
-
-        let slot = self.conns.get_mut(target).ok_or(())?;
-        if slot.is_none() {
-            let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500))
-                .map_err(|_| ())?;
-            let _ = stream.set_nodelay(true);
-            *slot = Some(stream);
-        }
-        let stream = slot.as_mut().ok_or(())?;
-        let _ = stream.set_read_timeout(Some(attempt_timeout));
-        let _ = stream.set_write_timeout(Some(attempt_timeout));
-        let outcome = (|| {
-            stream.write_all(&frame).map_err(|_| ())?;
-            loop {
-                match read_frame(stream) {
-                    Ok((Message::AdminReply { id: got, result }, _)) if got == id => {
-                        return Ok(result);
-                    }
-                    // A stale client or admin reply on a reused connection.
-                    Ok((Message::AdminReply { .. } | Message::ClientReply { .. }, _)) => continue,
-                    Ok(_) => return Err(()), // peers never talk to clients
-                    Err(RecvError::Closed | RecvError::Io(_) | RecvError::Wire(_)) => {
-                        return Err(());
-                    }
-                }
-            }
-        })();
-        if outcome.is_err() {
-            *slot = None; // poisoned: mid-stream state is unknowable
-        }
-        self.encode_buf = frame; // keep the capacity for the next request
-        outcome
-    }
-
     /// Runs one admin operation against a *specific* brick (repair is
     /// orchestrated by the node it was started on, so admin traffic does
     /// not rotate). Retries `max_rounds` times with a short pause so a
@@ -200,7 +152,15 @@ impl NetClient {
     /// [`ClientError::Unavailable`] when the retry budget is exhausted.
     pub fn try_admin(&mut self, target: usize, op: &AdminOp) -> Result<AdminResponse, ClientError> {
         for round in 0..self.max_rounds {
-            match self.try_admin_brick(target, op) {
+            let outcome = self.exchange(
+                target,
+                |id, buf| encode_admin_request_into(id, op, buf),
+                |msg| match msg {
+                    Message::AdminReply { id, result } => Ok((id, result)),
+                    other => Err(other),
+                },
+            );
+            match outcome {
                 Ok(Ok(resp)) => return Ok(resp),
                 Ok(Err(ClientError::InvalidRequest)) => return Err(ClientError::InvalidRequest),
                 Ok(Err(_)) | Err(()) => {}
@@ -228,7 +188,15 @@ impl RegisterClient for NetClient {
             for _ in 0..n {
                 let target = self.next % n;
                 self.next = self.next.wrapping_add(1);
-                match self.try_brick(target, &op) {
+                let outcome = self.exchange(
+                    target,
+                    |id, buf| encode_client_request_into(id, &op, buf),
+                    |msg| match msg {
+                        Message::ClientReply { id, result } => Ok((id, result)),
+                        other => Err(other),
+                    },
+                );
+                match outcome {
                     Ok(Ok(result)) => return Ok(result),
                     Ok(Err(ClientError::InvalidRequest)) => {
                         return Err(ClientError::InvalidRequest);

@@ -65,9 +65,10 @@ pub struct NodeConfig {
     pub store_dir: Option<PathBuf>,
     /// Reconnect schedule for outbound peer connections.
     pub backoff: Backoff,
-    /// Install the `fab-obs` metrics registry (op-lifecycle instruments
-    /// plus the `stats-snapshot` admin frame). On by default; the
-    /// overhead smoke benchmark flips it off to measure the delta.
+    /// Record the op-lifecycle instruments (`op_*`) and export the node's
+    /// `fab-obs` registry (`BrickNode::obs_registry`, the `op_*` and
+    /// `store_*` entries of `stats-snapshot` replies). On by default; the
+    /// overhead gate flips it off to measure the delta.
     pub metrics: bool,
 }
 
@@ -90,7 +91,7 @@ impl NodeConfig {
         self
     }
 
-    /// Enables or disables the metrics registry (on by default).
+    /// Enables or disables the metrics exposition (on by default).
     pub fn with_metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
@@ -216,9 +217,9 @@ struct Tcp {
     self_tx: Sender<Event>,
     client_counters: Arc<PeerCounters>,
     repair: RepairControl,
-    /// The node's metrics registry (`None` when the config disabled it).
-    obs: Option<Arc<fab_obs::Registry>>,
-    commit_stats: Option<CommitStatsHandle>,
+    /// What `stats-snapshot` exports: the node's registry, or an empty one
+    /// when the config turned metrics off.
+    obs: Arc<fab_obs::Registry>,
 }
 
 impl Transport for Tcp {
@@ -380,23 +381,21 @@ impl Tcp {
                 value,
             });
         };
-        if let Some(reg) = &self.obs {
-            let snap = reg.export();
-            for (name, value) in &snap.counters {
-                counter(&mut counters, name, *value);
-            }
-            for (name, value) in &snap.gauges {
-                counter(&mut gauges, name, *value);
-            }
-            for (name, h) in &snap.histograms {
-                histograms.push(StatsHistogramEntry {
-                    name: (*name).to_string(),
-                    count: h.count,
-                    p50: h.p50,
-                    p95: h.p95,
-                    p99: h.p99,
-                });
-            }
+        let snap = self.obs.export();
+        for (name, value) in &snap.counters {
+            counter(&mut counters, name, *value);
+        }
+        for (name, value) in &snap.gauges {
+            counter(&mut gauges, name, *value);
+        }
+        for (name, h) in &snap.histograms {
+            histograms.push(StatsHistogramEntry {
+                name: (*name).to_string(),
+                count: h.count,
+                p50: h.p50,
+                p95: h.p95,
+                p99: h.p99,
+            });
         }
         // Transport: per-peer counters summed into one node-level view.
         let mut peers = crate::transport::CounterSnapshot::default();
@@ -433,19 +432,6 @@ impl Tcp {
         counter(&mut counters, "net_pool_hits", hits);
         counter(&mut counters, "net_pool_misses", misses);
         counter(&mut gauges, "net_inbox_depth", self.self_tx.len() as u64);
-        // Group-commit pipeline. When metrics are on, the pipeline's
-        // instruments are registered and already rode the registry snapshot
-        // above; bridge by hand only for unregistered pipelines.
-        if self.obs.is_none() {
-            if let Some(commit) = &self.commit_stats {
-                let s = commit.stats();
-                counter(&mut counters, "store_submitted", s.submitted);
-                counter(&mut counters, "store_committed", s.committed);
-                counter(&mut counters, "store_failed", s.failed);
-                counter(&mut counters, "store_syncs", s.syncs);
-                counter(&mut gauges, "store_max_batch", s.max_batch);
-            }
-        }
         // Repair driver (running or last finished).
         if let Some(r) = &self.repair.repair {
             let s = r.status();
@@ -693,17 +679,19 @@ impl BrickNode {
         let register = host::wall_clock_config(register);
         let addr = listener.local_addr()?;
 
-        let obs = metrics.then(|| Arc::new(fab_obs::Registry::new()));
+        // One construction path: the registry always exists and the commit
+        // pipeline's `store_*` instruments always live in it. Metrics off
+        // means nobody is handed it — `obs_registry()` is `None`, the
+        // coordinator gets no `OpMetrics`, `stats-snapshot` exports an
+        // empty registry.
+        let registry = Arc::new(fab_obs::Registry::new());
+        let obs = metrics.then(|| registry.clone());
         let cursor_path = store_dir
             .as_ref()
             .map(|dir| dir.join(format!("repair-{}.cursor", node.value())));
         let store = store_dir.as_deref().map(|dir| open(dir, node)).transpose()?;
-        let pipeline = store.map(|store| match &obs {
-            // Registered: store_* instruments ride the node's
-            // stats-snapshot exposition automatically.
-            Some(reg) => CommitPipeline::spawn_registered(store, COMPACT_THRESHOLD, reg),
-            None => CommitPipeline::spawn(store, COMPACT_THRESHOLD),
-        });
+        let pipeline =
+            store.map(|store| CommitPipeline::spawn(store, COMPACT_THRESHOLD, &registry));
         let commit_stats = pipeline.as_ref().map(CommitPipeline::stats_handle);
 
         let (tx, inbox) = unbounded();
@@ -751,8 +739,7 @@ impl BrickNode {
                 cursor_path,
                 repair: None,
             },
-            obs: obs.clone(),
-            commit_stats: commit_stats.clone(),
+            obs: obs.clone().unwrap_or_default(),
         };
         let host = Host::new(
             register,
@@ -982,4 +969,34 @@ mod tests {
     }
 
     host_conformance::suite!(TcpCluster);
+
+    /// Metrics off is "don't export": the pipeline still counts (the typed
+    /// `metrics()` view reads it), but the node hands out no registry and
+    /// its `stats-snapshot` carries no `op_*` / `store_*` entry.
+    #[test]
+    fn metrics_off_exports_no_registry_entries() {
+        let dir = std::env::temp_dir().join(format!("fab-metrics-off-{}", std::process::id()));
+        let cfg = RegisterConfig::new(2, 3, 16).unwrap();
+        let cluster = TcpCluster::boot(cfg, |node_cfg, l| {
+            let node_cfg = node_cfg.with_store_dir(dir.clone()).with_metrics(false);
+            BrickNode::spawn(node_cfg, l).unwrap()
+        });
+        let mut client = cluster.client();
+        let blocks = vec![bytes::Bytes::from(vec![7u8; 16]); 2];
+        assert_eq!(client.try_write_stripe(fab_core::StripeId(0), blocks), Ok(OpResult::Written));
+        for (i, node) in cluster.nodes.iter().enumerate() {
+            assert!(node.obs_registry().is_none());
+            assert!(node.metrics().commit.expect("durable").committed > 0);
+            let Ok(AdminResponse::Stats(report)) = client.try_admin(i, &AdminOp::StatsSnapshot)
+            else {
+                panic!("node {i}: no stats reply");
+            };
+            let registry_entry = |name: &str| name.starts_with("op_") || name.starts_with("store_");
+            assert!(!report.counters.iter().any(|e| registry_entry(&e.name)), "{report:?}");
+            assert!(report.histograms.is_empty(), "{report:?}");
+            assert!(report.counter("net_frames_sent").is_some());
+        }
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -31,6 +31,24 @@ fn bind_cluster(n: usize) -> (Vec<TcpListener>, Vec<std::net::SocketAddr>) {
     (listeners, addrs)
 }
 
+/// Boots one durable brick per listener, each on its own directory under
+/// `store_root`.
+fn spawn_durable(
+    store_root: &std::path::Path,
+    listeners: Vec<TcpListener>,
+    addrs: &[std::net::SocketAddr],
+    cfg: &RegisterConfig,
+    metrics: bool,
+) -> Vec<BrickNode> {
+    let node = |(i, l): (usize, TcpListener)| {
+        let node_cfg = NodeConfig::new(ProcessId::new(i as u32), addrs.to_vec(), cfg.clone())
+            .with_store_dir(store_root.join(format!("node-{i}")))
+            .with_metrics(metrics);
+        BrickNode::spawn(node_cfg, l).unwrap()
+    };
+    listeners.into_iter().enumerate().map(node).collect()
+}
+
 /// Encodes a checker value id into a full stripe of `m` blocks.
 fn stripe_for(id: ValueId, m: usize, block_size: usize) -> Vec<Bytes> {
     (0..m)
@@ -642,6 +660,65 @@ fn summed(reports: &[fab_wire::StatsReport], name: &str) -> u64 {
     reports.iter().filter_map(|r| r.counter(name)).sum()
 }
 
+/// On a healthy cluster with no concurrent writer, every read is the
+/// paper's one-round fast read: none may fall back to `Order&Read` +
+/// write-back, and a read-only load must commit no log record. A fast
+/// read falls back when its target's reply is not among the first quorum
+/// and the grace period ends before it arrives, so this pins the
+/// wall-clock grace (`host::wall_clock_config`) above the reply spread of
+/// a loopback cluster.
+#[test]
+fn healthy_read_sweep_never_recovers_or_commits() {
+    let (n, m, block) = (5usize, 3usize, 4096usize);
+    let stripes = 32u64;
+    let store_root = std::env::temp_dir().join(format!("fab-healthy-sweep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+
+    let (listeners, addrs) = bind_cluster(n);
+    let cfg = RegisterConfig::new(m, n, block).unwrap();
+    let nodes = spawn_durable(&store_root, listeners, &addrs, &cfg, true);
+
+    let mut client = NetClient::connect(addrs.clone(), cfg.clone());
+    for s in 0..stripes {
+        let result = client.try_write_stripe(StripeId(s), stripe_for(s + 1, m, block));
+        assert_eq!(result, Ok(OpResult::Written), "preload of stripe {s}");
+    }
+    let mut admin = NetClient::connect(addrs, cfg);
+    let mut snapshot = || -> Vec<_> { (0..n).map(|i| stats_snapshot(&mut admin, i)).collect() };
+    // The preload's fire-and-forget GC hints still commit records after
+    // the last write returns: wait until the logs stop growing.
+    let mut committed = summed(&snapshot(), "store_committed");
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = summed(&snapshot(), "store_committed");
+        if now == committed {
+            break;
+        }
+        committed = now;
+    }
+
+    for _pass in 0..3 {
+        for s in 0..stripes {
+            let want = stripe_for(s + 1, m, block);
+            for (j, block_j) in want.into_iter().enumerate() {
+                match client.try_read_block(StripeId(s), j).unwrap() {
+                    OpResult::Block(v) => assert_eq!(v.materialize(block), Some(block_j)),
+                    other => panic!("stripe {s} block {j}: {other:?}"),
+                }
+            }
+        }
+    }
+    let after = snapshot();
+    assert_eq!(summed(&after, "op_reads_recovered"), 0, "a healthy read recovered");
+    assert_eq!(summed(&after, "op_reads_fastpath"), 3 * stripes * m as u64);
+    assert_eq!(summed(&after, "store_committed"), committed, "a read-only sweep committed");
+
+    for node in nodes {
+        node.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&store_root);
+}
+
 #[test]
 #[ignore = "multi-second wall clock; run explicitly (tools/ci.sh stage 11)"]
 fn five_brick_stats_snapshot_reconciles_over_loopback() {
@@ -838,16 +915,7 @@ fn durable_write_rate(metrics: bool) -> f64 {
 
     let (listeners, addrs) = bind_cluster(n);
     let cfg = RegisterConfig::new(m, n, block).unwrap();
-    let nodes: Vec<BrickNode> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let node_cfg = NodeConfig::new(ProcessId::new(i as u32), addrs.clone(), cfg.clone())
-                .with_store_dir(store_root.join(format!("node-{i}")))
-                .with_metrics(metrics);
-            BrickNode::spawn(node_cfg, l).unwrap()
-        })
-        .collect();
+    let nodes = spawn_durable(&store_root, listeners, &addrs, &cfg, metrics);
 
     let gate = Arc::new(std::sync::Barrier::new(clients));
     let workers: Vec<_> = (0..clients as u64)

@@ -2,52 +2,60 @@
 //! monotonicity, pair-counter exactness, ring-buffer bounds.
 
 use fab_obs::{Event, EventRing, Histogram, PairCounter, Registry, HIST_BUCKETS};
-use proptest::prelude::*;
+use propcheck::{ensure, ensure_eq, Gen};
 
-proptest! {
-    /// Every recorded value lands in exactly the bucket whose reported
-    /// range covers it: `value <= upper_bound(bucket_index(value))` and
-    /// (below the saturating last bucket) `value > upper_bound(i - 1)`.
-    #[test]
-    fn recorded_value_lands_in_reporting_bucket(value in any::<u64>()) {
+propcheck::properties! {
+    cases: 256;
+
+    /// Every recorded value lands in the bucket whose reported range covers
+    /// it: `value <= upper_bound(bucket_index(value))` and (below the
+    /// saturating last bucket) `value >= upper_bound(i - 1)` — bucket `i` is
+    /// `[2^(i-1), 2^i)` and reports `2^i`, so a power of two sits on the
+    /// bound of the bucket below its own.
+    fn recorded_value_lands_in_reporting_bucket(g) {
+        // Any u64, spread over every magnitude (and so every bucket).
+        let value = g.u64() >> g.range(0u32..64);
         let i = Histogram::bucket_index(value);
-        prop_assert!(i < HIST_BUCKETS);
-        prop_assert!(value <= Histogram::bucket_upper_bound(i));
+        ensure!(i < HIST_BUCKETS);
+        ensure!(value <= Histogram::bucket_upper_bound(i));
         if i > 0 && i < HIST_BUCKETS - 1 {
-            prop_assert!(value > Histogram::bucket_upper_bound(i - 1));
+            ensure!(value >= Histogram::bucket_upper_bound(i - 1));
         }
         // And recording actually increments that bucket.
         let h = Histogram::new();
         h.record(value);
-        prop_assert_eq!(h.buckets()[i], 1);
+        ensure_eq!(h.buckets()[i], 1);
     }
 
     /// Quantiles are monotone (p50 <= p95 <= p99), the snapshot count is
-    /// exact, and every quantile is an upper bound for at least its share
-    /// of the samples.
-    #[test]
-    fn snapshot_quantiles_are_monotone(samples in prop::collection::vec(any::<u64>(), 1..200)) {
+    /// exact, and every quantile is an upper bound for at least its share of
+    /// the samples.
+    fn snapshot_quantiles_are_monotone(g) {
+        let samples = g.vec(1..200, Gen::u64);
         let h = Histogram::new();
         for &s in &samples {
             h.record(s);
         }
         let snap = h.snapshot();
-        prop_assert_eq!(snap.count, samples.len() as u64);
-        prop_assert!(snap.p50 <= snap.p95);
-        prop_assert!(snap.p95 <= snap.p99);
+        ensure_eq!(snap.count, samples.len() as u64);
+        ensure!(snap.p50 <= snap.p95);
+        ensure!(snap.p95 <= snap.p99);
         let at_most_p50 = samples.iter().filter(|&&s| s <= snap.p50).count();
-        prop_assert!(
+        ensure!(
             at_most_p50 * 100 >= samples.len() * 50,
-            "p50 {} covers only {}/{} samples", snap.p50, at_most_p50, samples.len()
+            "p50 {} covers only {}/{} samples",
+            snap.p50,
+            at_most_p50,
+            samples.len()
         );
         let at_most_p99 = samples.iter().filter(|&&s| s <= snap.p99).count();
-        prop_assert!(at_most_p99 * 100 >= samples.len() * 99);
+        ensure!(at_most_p99 * 100 >= samples.len() * 99);
     }
 
     /// A pair counter's halves always sum to the number of increments,
     /// whatever the interleaving of first/second increments.
-    #[test]
-    fn pair_counter_total_is_exact(firsts in 0u32..1000, seconds in 0u32..1000) {
+    fn pair_counter_total_is_exact(g) {
+        let (firsts, seconds) = (g.range(0u32..1000), g.range(0u32..1000));
         let p = PairCounter::new();
         for _ in 0..firsts {
             p.inc_first();
@@ -55,33 +63,32 @@ proptest! {
         for _ in 0..seconds {
             p.inc_second();
         }
-        prop_assert_eq!(p.get(), (u64::from(firsts), u64::from(seconds)));
-        prop_assert_eq!(p.total(), u64::from(firsts) + u64::from(seconds));
+        ensure_eq!(p.get(), (u64::from(firsts), u64::from(seconds)));
+        ensure_eq!(p.total(), u64::from(firsts) + u64::from(seconds));
     }
 
-    /// The ring never exceeds its capacity, evictions are counted
-    /// exactly, and a snapshot is the most recent `capacity` events in
-    /// order.
-    #[test]
-    fn ring_is_bounded_and_ordered(capacity in 1usize..16, n in 0usize..64) {
+    /// The ring never exceeds its capacity, evictions are counted exactly,
+    /// and a snapshot is the most recent `capacity` events in order.
+    fn ring_is_bounded_and_ordered(g) {
+        let (capacity, n) = (g.range(1usize..16), g.range(0usize..64));
         let ring = EventRing::new(capacity);
         for i in 0..n {
             ring.record(Event { at: i as u64, kind: "e", a: 0, b: 0 });
         }
         let (events, overwritten) = ring.capture();
-        prop_assert!(events.len() <= capacity);
-        prop_assert_eq!(events.len(), n.min(capacity));
-        prop_assert_eq!(overwritten, n.saturating_sub(capacity) as u64);
+        ensure!(events.len() <= capacity);
+        ensure_eq!(events.len(), n.min(capacity));
+        ensure_eq!(overwritten, n.saturating_sub(capacity) as u64);
         let expected: Vec<u64> = (n.saturating_sub(capacity)..n).map(|i| i as u64).collect();
         let got: Vec<u64> = events.iter().map(|e| e.at).collect();
-        prop_assert_eq!(got, expected);
+        ensure_eq!(got, expected);
     }
 
     /// Registry snapshots are deterministic: same recording sequence,
     /// identical snapshot (including render text), and counter order is
     /// always name-sorted.
-    #[test]
-    fn registry_snapshot_is_deterministic(values in prop::collection::vec(0u64..1000, 0..50)) {
+    fn registry_snapshot_is_deterministic(g) {
+        let values = g.vec(0..50, |g| g.range(0u64..1000));
         let build = || {
             let reg = Registry::new();
             let c = reg.counter("ops");
@@ -95,7 +102,7 @@ proptest! {
             reg.export()
         };
         let (a, b) = (build(), build());
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.render(), b.render());
+        ensure_eq!(&a, &b);
+        ensure_eq!(a.render(), b.render());
     }
 }

@@ -36,7 +36,6 @@
 use fab_timestamp::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -84,7 +83,7 @@ impl Error for QuorumError {}
 /// By Lemma 4, this satisfies consistency (`|Q₁ ∩ Q₂| ≥ n − 2f ≥ m`) and
 /// availability (any `n − f` correct processes form a quorum) exactly when
 /// `n ≥ 2f + m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MQuorumSystem {
     m: usize,
     n: usize,

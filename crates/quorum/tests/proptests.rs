@@ -3,67 +3,56 @@
 
 use fab_quorum::{MQuorumSystem, QuorumTracker};
 use fab_timestamp::ProcessId;
-use proptest::prelude::*;
+use propcheck::{ensure, ensure_eq, Gen};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-proptest! {
-    #[test]
-    fn random_quorums_intersect_in_at_least_m(
-        n in 1usize..=64,
-        m_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let m = 1 + ((n - 1) as f64 * m_frac) as usize;
+/// An `(m, n)` code with `n` drawn from `n_range` and `1 <= m < n` (`m = 1`
+/// when `n = 1`).
+fn code(g: &mut Gen, n_range: std::ops::RangeInclusive<usize>) -> (usize, usize) {
+    let n = g.range(n_range);
+    (g.range(1..=(n - 1).max(1)), n)
+}
+
+propcheck::properties! {
+    cases: 256;
+
+    fn random_quorums_intersect_in_at_least_m(g) {
+        let (m, n) = code(g, 1..=64);
         let q = MQuorumSystem::for_code(m, n).unwrap();
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = SmallRng::seed_from_u64(g.u64());
         let a = q.random_quorum(&mut rng);
         let b = q.random_quorum(&mut rng);
         let inter = a.iter().filter(|p| b.contains(p)).count();
-        prop_assert!(inter >= m, "m={} n={} intersection={}", m, n, inter);
-        prop_assert!(inter >= q.min_intersection());
+        ensure!(inter >= m, "m={m} n={n} intersection={inter}");
+        ensure!(inter >= q.min_intersection());
     }
 
-    #[test]
-    fn any_quorum_survives_max_faults(
-        n in 1usize..=64,
-        m_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        // Availability: kill any f processes; the survivors form a quorum.
-        let m = 1 + ((n - 1) as f64 * m_frac) as usize;
+    /// Availability: kill any f processes; the survivors form a quorum.
+    fn any_quorum_survives_max_faults(g) {
+        let (m, n) = code(g, 1..=64);
         let q = MQuorumSystem::for_code(m, n).unwrap();
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = SmallRng::seed_from_u64(g.u64());
         let faulty = q.random_processes(&mut rng, q.max_faulty());
-        let survivors: Vec<ProcessId> =
-            q.universe().filter(|p| !faulty.contains(p)).collect();
-        prop_assert!(q.is_quorum(survivors.iter().copied()));
+        let survivors: Vec<ProcessId> = q.universe().filter(|p| !faulty.contains(p)).collect();
+        ensure!(q.is_quorum(survivors.iter().copied()));
     }
 
-    #[test]
-    fn one_extra_fault_breaks_availability_or_consistency(
-        n in 2usize..=64,
-        m_frac in 0.0f64..1.0,
-    ) {
-        let m = 1 + ((n - 1) as f64 * m_frac) as usize;
+    fn one_extra_fault_breaks_availability_or_consistency(g) {
+        let (m, n) = code(g, 2..=64);
         let f = (n - m) / 2;
-        prop_assert!(MQuorumSystem::with_faults(m, n, f + 1).is_err());
+        ensure!(MQuorumSystem::with_faults(m, n, f + 1).is_err());
     }
 
-    #[test]
-    fn tracker_agrees_with_is_quorum(
-        n in 1usize..=32,
-        m_frac in 0.0f64..1.0,
-        replies in proptest::collection::vec(0u32..40, 0..64),
-    ) {
-        let m = 1 + ((n - 1) as f64 * m_frac) as usize;
+    fn tracker_agrees_with_is_quorum(g) {
+        let (m, n) = code(g, 1..=32);
+        let replies = g.vec(0..64, |g| ProcessId::new(g.range(0u32..40)));
         let q = MQuorumSystem::for_code(m, n).unwrap();
         let mut t = QuorumTracker::new(q);
         for &r in &replies {
-            t.record(ProcessId::new(r));
+            t.record(r);
         }
-        let as_set: Vec<ProcessId> = replies.iter().map(|&r| ProcessId::new(r)).collect();
-        prop_assert_eq!(t.is_complete(), q.is_quorum(as_set));
-        prop_assert_eq!(t.responders().count(), t.replies());
+        ensure_eq!(t.is_complete(), q.is_quorum(replies));
+        ensure_eq!(t.responders().count(), t.replies());
     }
 }

@@ -3,10 +3,9 @@
 
 use crate::params::{BrickParams, InternalLayout};
 use crate::schemes::{Scheme, SystemDesign};
-use serde::{Deserialize, Serialize};
 
 /// One point of a Figure-2 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MttdlPoint {
     /// Logical capacity in terabytes.
     pub capacity_tb: f64,
@@ -17,7 +16,7 @@ pub struct MttdlPoint {
 }
 
 /// One named curve of Figure 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MttdlSeries {
     /// Curve label as it appears in the paper's legend.
     pub label: String,
@@ -92,7 +91,7 @@ pub fn figure2(capacities_tb: &[f64]) -> Vec<MttdlSeries> {
 }
 
 /// One point of a Figure-3 series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadPoint {
     /// The varied parameter (replication factor k, or code width n).
     pub parameter: usize,
@@ -105,7 +104,7 @@ pub struct OverheadPoint {
 }
 
 /// One named curve of Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadSeries {
     /// Curve label as it appears in the paper's legend.
     pub label: String,

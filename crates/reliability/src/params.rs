@@ -9,10 +9,8 @@
 //! redundancy combinatorics rather than on these absolute constants (see
 //! DESIGN.md, substitutions table).
 
-use serde::{Deserialize, Serialize};
-
 /// Physical parameters of one storage brick and its repair process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrickParams {
     /// Disks per brick.
     pub disks_per_brick: usize,
@@ -85,7 +83,7 @@ impl Default for BrickParams {
 }
 
 /// How a brick protects data internally (Figures 2–3 compare both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InternalLayout {
     /// Non-redundant striping over the brick's disks: any disk failure
     /// loses the brick's data.

@@ -22,10 +22,9 @@
 
 use crate::markov::declustered_mttdl_hours;
 use crate::params::{BrickParams, InternalLayout, HOURS_PER_YEAR};
-use serde::{Deserialize, Serialize};
 
 /// A cross-brick redundancy scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Non-redundant striping across bricks.
     Striping,
@@ -84,7 +83,7 @@ impl std::fmt::Display for Scheme {
 }
 
 /// A complete system design: scheme + brick hardware + internal layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemDesign {
     /// Cross-brick redundancy scheme.
     pub scheme: Scheme,

@@ -11,10 +11,9 @@
 
 use crate::params::BrickParams;
 use crate::schemes::SystemDesign;
-use serde::{Deserialize, Serialize};
 
 /// A physical parameter that can be swept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parameter {
     /// Disk mean time to failure (hours).
     DiskMttf,
@@ -69,7 +68,7 @@ impl std::fmt::Display for Parameter {
 }
 
 /// One point of a sensitivity sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Multiplier applied to the baseline parameter value.
     pub factor: f64,
@@ -80,7 +79,7 @@ pub struct SweepPoint {
 }
 
 /// The result of sweeping one parameter for one design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
     /// Which parameter was varied.
     pub parameter: Parameter,

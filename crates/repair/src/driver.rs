@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use fab_core::{OpResult, StripeId, StripeValue};
+use fab_core::{ClientError, OpResult, StripeId, StripeValue};
 use fab_simnet::fault::Backoff;
 
 use crate::health::HealthMap;
@@ -390,10 +390,18 @@ impl RepairDriver {
         Action::Scrub(stripe)
     }
 
-    /// Feeds back the outcome of a scrub issued by [`RepairDriver::poll`].
-    /// Results for stripes outside the plan, or not in flight, are
-    /// ignored (stale completions after an abort).
-    pub fn on_scrub_result(&mut self, stripe: StripeId, result: &OpResult, now: u64) {
+    /// Feeds back the outcome of a scrub issued by [`RepairDriver::poll`]:
+    /// the coordinator's answer, or the client's failure to get one (one
+    /// more failed attempt of the stripe, retried and finally counted as
+    /// `failed` exactly like an aborted scrub). Results for stripes
+    /// outside the plan, or not in flight, are ignored (stale completions
+    /// after an abort).
+    pub fn on_scrub_result(
+        &mut self,
+        stripe: StripeId,
+        result: Result<&OpResult, &ClientError>,
+        now: u64,
+    ) {
         let Some(&idx) = self.idx_of.get(&stripe) else {
             return;
         };
@@ -402,18 +410,19 @@ impl RepairDriver {
         }
         self.inflight = self.inflight.saturating_sub(1);
         let next = match result {
-            OpResult::Stripe(StripeValue::Nil) => {
+            Ok(OpResult::Stripe(StripeValue::Nil)) => {
                 self.counters.skipped.inc();
                 EntryState::Skipped
             }
-            r if r.is_ok() => {
+            Ok(r) if r.is_ok() => {
                 self.counters.repaired.inc();
                 self.counters
                     .bytes_reconstructed
                     .add(self.plan.bytes_per_stripe);
                 EntryState::Repaired
             }
-            _aborted => {
+            // Aborted by the protocol, or never answered at all.
+            Ok(_) | Err(_) => {
                 let attempts = self.attempts.get(&idx).copied().unwrap_or(0) + 1;
                 self.attempts.insert(idx, attempts);
                 if attempts >= self.cfg.max_attempts.max(1) {
@@ -546,7 +555,7 @@ mod tests {
             match d.poll(now) {
                 Action::Scrub(s) => {
                     repaired.push(s);
-                    d.on_scrub_result(s, &data(), now);
+                    d.on_scrub_result(s, Ok(&data()), now);
                 }
                 Action::Wait { until_micros } => now = until_micros,
                 Action::Idle => unreachable!("results are fed synchronously"),
@@ -565,7 +574,7 @@ mod tests {
     fn nil_scrubs_count_as_skipped_not_repaired() {
         let mut d = RepairDriver::new(plan(3), DriverConfig::default());
         while let Action::Scrub(s) = d.poll(0) {
-            d.on_scrub_result(s, &OpResult::Stripe(StripeValue::Nil), 0);
+            d.on_scrub_result(s, Ok(&OpResult::Stripe(StripeValue::Nil)), 0);
         }
         assert!(d.is_done());
         let out = d.outcome();
@@ -586,9 +595,9 @@ mod tests {
         let Action::Scrub(a) = d.poll(0) else { panic!() };
         let Action::Scrub(b) = d.poll(0) else { panic!() };
         assert_eq!(d.poll(0), Action::Idle, "third scrub held back");
-        d.on_scrub_result(a, &data(), 0);
+        d.on_scrub_result(a, Ok(&data()), 0);
         assert!(matches!(d.poll(0), Action::Scrub(_)));
-        d.on_scrub_result(b, &data(), 0);
+        d.on_scrub_result(b, Ok(&data()), 0);
     }
 
     #[test]
@@ -605,7 +614,7 @@ mod tests {
             let Action::Scrub(s) = action else {
                 panic!("attempt {attempt}: {action:?}");
             };
-            d.on_scrub_result(s, &OpResult::Aborted(AbortReason::Conflict), now);
+            d.on_scrub_result(s, Ok(&OpResult::Aborted(AbortReason::Conflict)), now);
             if attempt < 2 {
                 // Cooling down: the driver asks us to wait out the backoff.
                 let Action::Wait { until_micros } = d.poll(now) else {
@@ -634,7 +643,7 @@ mod tests {
         let mut d = RepairDriver::new(plan(3), cfg);
         // Burst capacity is one stripe: first scrub immediate.
         let Action::Scrub(a) = d.poll(0) else { panic!() };
-        d.on_scrub_result(a, &data(), 0);
+        d.on_scrub_result(a, Ok(&data()), 0);
         // Second must wait out the 1/sec refill.
         let Action::Wait { until_micros } = d.poll(0) else {
             panic!()
@@ -653,7 +662,7 @@ mod tests {
         };
         let mut d = RepairDriver::new(plan(2), cfg);
         let Action::Scrub(a) = d.poll(0) else { panic!() };
-        d.on_scrub_result(a, &data(), 0);
+        d.on_scrub_result(a, Ok(&data()), 0);
         let Action::Wait { until_micros } = d.poll(0) else {
             panic!()
         };
@@ -686,7 +695,7 @@ mod tests {
         let mut issued = Vec::new();
         while let Action::Scrub(s) = d.poll(0) {
             issued.push(s);
-            d.on_scrub_result(s, &data(), 0);
+            d.on_scrub_result(s, Ok(&data()), 0);
         }
         assert_eq!(issued, vec![StripeId(4), StripeId(5)]);
         assert!(d.is_done());
@@ -698,8 +707,8 @@ mod tests {
     fn stale_results_are_ignored() {
         let mut d = RepairDriver::new(plan(2), DriverConfig::default());
         // Result for a stripe never issued, and one outside the plan.
-        d.on_scrub_result(StripeId(1), &data(), 0);
-        d.on_scrub_result(StripeId(99), &data(), 0);
+        d.on_scrub_result(StripeId(1), Ok(&data()), 0);
+        d.on_scrub_result(StripeId(99), Ok(&data()), 0);
         assert_eq!(d.counters().snapshot().repaired, 0);
         assert_eq!(d.watermark(), 0);
     }
@@ -711,7 +720,7 @@ mod tests {
         d.abort();
         assert_eq!(d.poll(0), Action::Done);
         // A straggler result is still absorbed without panicking.
-        d.on_scrub_result(s, &data(), 0);
+        d.on_scrub_result(s, Ok(&data()), 0);
         assert!(!d.outcome().complete);
     }
 
@@ -725,11 +734,11 @@ mod tests {
         let Action::Scrub(s0) = d.poll(0) else { panic!() };
         let Action::Scrub(s1) = d.poll(0) else { panic!() };
         let Action::Scrub(s2) = d.poll(0) else { panic!() };
-        d.on_scrub_result(s2, &data(), 0);
+        d.on_scrub_result(s2, Ok(&data()), 0);
         assert_eq!(d.watermark(), 0, "stripe 0 still outstanding");
-        d.on_scrub_result(s0, &data(), 0);
+        d.on_scrub_result(s0, Ok(&data()), 0);
         assert_eq!(d.watermark(), 1);
-        d.on_scrub_result(s1, &data(), 0);
+        d.on_scrub_result(s1, Ok(&data()), 0);
         assert_eq!(d.watermark(), 3, "contiguous prefix catches up");
     }
 }

@@ -8,17 +8,17 @@
 //! foreground latency.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use fab_core::StripeId;
-use parking_lot::Mutex;
 
 /// A shared map of stripe → degraded-read count. Cheap to clone; all
 /// clones observe the same map.
 ///
 /// Lock discipline: every method takes the internal lock for a few map
 /// operations and releases it before returning — no calls are made with
-/// the lock held, so `HealthMap` can never participate in a lock cycle.
+/// the lock held, so `HealthMap` can never participate in a lock cycle,
+/// and the map is valid at every step, so a poisoned lock is recovered.
 #[derive(Debug, Clone, Default)]
 pub struct HealthMap {
     inner: Arc<Mutex<BTreeMap<StripeId, u64>>>,
@@ -32,7 +32,7 @@ impl HealthMap {
 
     /// Records one degraded (recovery-path) read of `stripe`.
     pub fn report(&self, stripe: StripeId) {
-        let mut map = self.inner.lock();
+        let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         *map.entry(stripe).or_insert(0) += 1;
     }
 
@@ -41,7 +41,7 @@ impl HealthMap {
     /// stripes they no longer care about.
     pub fn drain_hot(&self) -> Vec<StripeId> {
         let drained: Vec<(StripeId, u64)> = {
-            let mut map = self.inner.lock();
+            let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *map).into_iter().collect()
         };
         let mut entries = drained;
@@ -54,7 +54,10 @@ impl HealthMap {
     /// resolves calls by method name, and a lock-taking `len` would put
     /// every collection in the workspace under suspicion.)
     pub fn degraded_count(&self) -> usize {
-        self.inner.lock().len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use fab_core::{AbortReason, OpResult, RegisterClient, StripeId};
+use fab_core::{ClientError, OpResult, RegisterClient, StripeId};
 
 use crate::cursor::RepairCursor;
 use crate::driver::{Action, DriverConfig, RepairDriver, RepairOutcome};
@@ -25,19 +25,17 @@ use crate::stats::{RepairCounters, RepairStats};
 /// the fsync cost disappears into the scrub cost.
 pub const CHECKPOINT_EVERY: u64 = 32;
 
-/// One timed scrub attempt. A client that got no answer (`Err`: retry
-/// budget exhausted, cluster unreachable) is one more failed attempt of
-/// the stripe: the driver retries, backs off and finally counts it as
-/// `failed` exactly as it does an aborted scrub.
+/// One timed scrub attempt, answered or not (`Err`: retry budget
+/// exhausted, cluster unreachable); the driver accounts for both.
 fn scrub_once<C: RegisterClient>(
     client: &mut C,
     stripe: StripeId,
     counters: &RepairCounters,
-) -> OpResult {
+) -> Result<OpResult, ClientError> {
     let t0 = Instant::now();
     let result = client.scrub(stripe);
     counters.record_scrub_micros(as_micros(t0.elapsed()));
-    result.unwrap_or(OpResult::Aborted(AbortReason::Internal))
+    result
 }
 
 fn maybe_checkpoint(cursor: &mut Option<RepairCursor>, watermark: u64, every: u64) {
@@ -86,7 +84,7 @@ pub fn run_with_client<C: RegisterClient>(
         match driver.poll(now) {
             Action::Scrub(stripe) => {
                 let result = scrub_once(client, stripe, &counters);
-                driver.on_scrub_result(stripe, &result, as_micros(started.elapsed()));
+                driver.on_scrub_result(stripe, result.as_ref(), as_micros(started.elapsed()));
                 maybe_checkpoint(&mut cursor, driver.watermark(), checkpoint_every);
             }
             Action::Wait { until_micros } => {
@@ -203,7 +201,7 @@ impl InProcRepair {
 /// One scrub result flowing back from a worker.
 struct WorkerResult {
     stripe: StripeId,
-    result: OpResult,
+    result: Result<OpResult, ClientError>,
 }
 
 /// The repair thread: polls the driver, fans scrubs out to worker
@@ -239,14 +237,18 @@ where
         })
         .collect();
     drop(result_tx);
+    // Feeds one worker's result to the driver and checkpoints its progress.
+    let absorb = |driver: &mut RepairDriver, cursor: &mut _, done: WorkerResult| {
+        driver.on_scrub_result(done.stripe, done.result.as_ref(), as_micros(started.elapsed()));
+        maybe_checkpoint(cursor, driver.watermark(), CHECKPOINT_EVERY);
+    };
     loop {
         if abort.load(Ordering::Acquire) {
             driver.abort();
         }
         // Absorb anything that has already landed.
         while let Ok(done) = result_rx.try_recv() {
-            driver.on_scrub_result(done.stripe, &done.result, as_micros(started.elapsed()));
-            maybe_checkpoint(&mut cursor, driver.watermark(), CHECKPOINT_EVERY);
+            absorb(&mut driver, &mut cursor, done);
         }
         let now = as_micros(started.elapsed());
         match driver.poll(now) {
@@ -259,16 +261,14 @@ where
             Action::Wait { until_micros } => {
                 let timeout = Duration::from_micros(until_micros.saturating_sub(now));
                 if let Ok(done) = result_rx.recv_timeout(timeout) {
-                    driver.on_scrub_result(done.stripe, &done.result, as_micros(started.elapsed()));
-                    maybe_checkpoint(&mut cursor, driver.watermark(), CHECKPOINT_EVERY);
+                    absorb(&mut driver, &mut cursor, done);
                 }
             }
             Action::Idle => {
                 // Results are the only thing that can unblock us; the
                 // timeout keeps abort responsive.
                 if let Ok(done) = result_rx.recv_timeout(Duration::from_millis(50)) {
-                    driver.on_scrub_result(done.stripe, &done.result, as_micros(started.elapsed()));
-                    maybe_checkpoint(&mut cursor, driver.watermark(), CHECKPOINT_EVERY);
+                    absorb(&mut driver, &mut cursor, done);
                 }
             }
             Action::Done => break,
@@ -451,8 +451,7 @@ mod tests {
             let now = 0;
             match driver.poll(now) {
                 Action::Scrub(s) => {
-                    let r = client.scrub(s).unwrap();
-                    driver.on_scrub_result(s, &r, now);
+                    driver.on_scrub_result(s, client.scrub(s).as_ref(), now);
                     cursor.checkpoint(driver.watermark()).unwrap();
                     issued += 1;
                     if issued == 17 {

@@ -6,102 +6,77 @@
 use fab_core::StripeId;
 use fab_repair::{plan_brick_rebuild, plan_full_scrub, SegmentMap};
 use fab_volume::{Layout, VolumeGeometry};
-use proptest::prelude::*;
+use propcheck::{ensure, ensure_eq, Gen};
 
-fn arb_layout() -> impl Strategy<Value = Layout> {
-    prop_oneof![Just(Layout::Linear), Just(Layout::Interleaved)]
+fn geometry(g: &mut Gen) -> VolumeGeometry {
+    let (stripe_count, m, block_size) =
+        (g.range(1u64..200), g.range(1usize..8), g.range(1usize..512));
+    let layout = g.pick(&[Layout::Linear, Layout::Interleaved]);
+    VolumeGeometry::new(stripe_count, m, block_size, layout).with_base(g.range(0u64..1000))
 }
 
-prop_compose! {
-    fn arb_geometry()(
-        stripe_count in 1u64..200,
-        m in 1usize..8,
-        block_size in 1usize..512,
-        layout in arb_layout(),
-        stripe_base in 0u64..1000,
-    ) -> VolumeGeometry {
-        VolumeGeometry::new(stripe_count, m, block_size, layout).with_base(stripe_base)
-    }
+fn segment_map(g: &mut Gen) -> SegmentMap {
+    let num_bricks = g.range(1u32..16);
+    SegmentMap::new(num_bricks, g.range(1..=num_bricks)).expect("valid by construction")
 }
 
-prop_compose! {
-    fn arb_map()(num_bricks in 1u32..16)(
-        num_bricks in Just(num_bricks),
-        group_size in 1u32..=num_bricks,
-    ) -> SegmentMap {
-        SegmentMap::new(num_bricks, group_size).expect("valid by construction")
-    }
+fn volume(geom: &VolumeGeometry) -> Vec<StripeId> {
+    (geom.stripe_base..geom.stripe_base + geom.stripe_count)
+        .map(StripeId)
+        .collect()
 }
 
-proptest! {
-    #[test]
-    fn rebuild_plan_is_exactly_the_brick_stripes(
-        geom in arb_geometry(),
-        map in arb_map(),
-        brick_seed in 0u32..16,
-    ) {
-        let brick = brick_seed % map.num_bricks;
+propcheck::properties! {
+    cases: 256;
+
+    fn rebuild_plan_is_exactly_the_brick_stripes(g) {
+        let (geom, map) = (geometry(g), segment_map(g));
+        let brick = g.range(0..map.num_bricks);
         let plan = plan_brick_rebuild(&geom, &map, brick).expect("brick is a member");
 
         // Every stripe whose group includes the brick appears...
-        let volume: Vec<StripeId> =
-            (geom.stripe_base..geom.stripe_base + geom.stripe_count).map(StripeId).collect();
+        let volume = volume(&geom);
         let expected: Vec<StripeId> =
             volume.iter().copied().filter(|&s| map.contains(s, brick)).collect();
-        prop_assert_eq!(&plan.stripes, &expected);
+        ensure_eq!(&plan.stripes, &expected);
 
         // ...exactly once (strictly ascending implies no duplicates)...
-        prop_assert!(plan.stripes.windows(2).all(|w| w[0].0 < w[1].0));
+        ensure!(plan.stripes.windows(2).all(|w| w[0].0 < w[1].0));
 
         // ...and none others: membership cross-checked against group().
         for &s in &plan.stripes {
-            prop_assert!(map.group(s).contains(&brick), "{s:?} planned but not hosted");
+            ensure!(map.group(s).contains(&brick), "{s:?} planned but not hosted");
         }
         for &s in &volume {
             if !plan.stripes.contains(&s) {
-                prop_assert!(!map.group(s).contains(&brick), "{s:?} hosted but not planned");
+                ensure!(!map.group(s).contains(&brick), "{s:?} hosted but not planned");
             }
         }
 
-        prop_assert_eq!(
-            plan.bytes_per_stripe,
-            geom.m as u64 * geom.block_size as u64
-        );
+        ensure_eq!(plan.bytes_per_stripe, geom.m as u64 * geom.block_size as u64);
     }
 
-    #[test]
-    fn group_size_bounds_plan_fraction(
-        geom in arb_geometry(),
-        map in arb_map(),
-    ) {
-        // Rotated placement spreads load: a brick hosts at most
-        // ceil(group_size / num_bricks * stripe_count) + group_size stripes.
+    /// Rotated placement spreads load: a brick hosts at most
+    /// ceil(group_size / num_bricks * stripe_count) + group_size stripes.
+    fn group_size_bounds_plan_fraction(g) {
+        let (geom, map) = (geometry(g), segment_map(g));
         let plan = plan_brick_rebuild(&geom, &map, 0).expect("brick 0 always a member");
         let per_rotation = u64::from(map.group_size);
         let rotations = geom.stripe_count / u64::from(map.num_bricks) + 2;
-        prop_assert!(plan.stripes.len() as u64 <= per_rotation * rotations);
+        ensure!(plan.stripes.len() as u64 <= per_rotation * rotations);
     }
 
-    #[test]
-    fn full_scrub_covers_the_volume_once(
-        geom in arb_geometry(),
-        map in arb_map(),
-    ) {
-        let plan = plan_full_scrub(&geom, &map);
-        let expected: Vec<StripeId> =
-            (geom.stripe_base..geom.stripe_base + geom.stripe_count).map(StripeId).collect();
-        prop_assert_eq!(plan.stripes, expected);
+    fn full_scrub_covers_the_volume_once(g) {
+        let (geom, map) = (geometry(g), segment_map(g));
+        ensure_eq!(plan_full_scrub(&geom, &map).stripes, volume(&geom));
     }
 
-    #[test]
-    fn plan_hash_is_stable_and_input_sensitive(
-        geom in arb_geometry(),
-        map in arb_map(),
-    ) {
+    fn plan_hash_is_stable_and_input_sensitive(g) {
+        let (geom, map) = (geometry(g), segment_map(g));
         let a = plan_brick_rebuild(&geom, &map, 0).expect("member");
         let b = plan_brick_rebuild(&geom, &map, 0).expect("member");
-        prop_assert_eq!(a.hash, b.hash, "hash must be a pure function of inputs");
+        ensure_eq!(a.hash, b.hash, "hash must be a pure function of inputs");
         let scrub = plan_full_scrub(&geom, &map);
-        prop_assert_ne!(a.hash, scrub.hash, "distinct plans must not share a cursor");
+        ensure!(a.hash != scrub.hash, "distinct plans must not share a cursor");
     }
 }

@@ -68,7 +68,7 @@ fn drive(
             Action::Scrub(stripe) => {
                 coord = (coord + 1) % N as u32;
                 let result = cluster.scrub(pid(coord), stripe);
-                driver.on_scrub_result(stripe, &result, cluster.sim().now());
+                driver.on_scrub_result(stripe, Ok(&result), cluster.sim().now());
                 if let Some(c) = cursor.as_mut() {
                     c.checkpoint(driver.watermark()).unwrap();
                 }

@@ -38,21 +38,27 @@ use fab_store::{BrickStore, CommitPipeline, CommitStore};
 use fab_timestamp::{ProcessId, Timestamp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Compact a brick's log once it accumulates this many records.
 pub const COMPACT_THRESHOLD: u64 = 50_000;
 
-/// Prepares a register configuration for a wall-clock host:
-/// retransmission intervals below 5 ms are raised to 20 ms, because the
-/// simulator's tick-scale default would thrash real channels and sockets.
+/// Prepares a register configuration for a wall-clock host, where a tick
+/// is a microsecond. Retransmission intervals below 5 ms are raised to
+/// 20 ms, because the simulator's tick-scale default would thrash real
+/// channels and sockets; and the fast-path grace is at least a tenth of
+/// the retransmission interval, because the simulator's 4 ticks end before
+/// a healthy brick's reply that merely lost the race to the first quorum
+/// arrives — and the read then pays `Order&Read`, a decode and a
+/// write-back to all n bricks for nothing.
 #[must_use]
 pub fn wall_clock_config(mut cfg: RegisterConfig) -> Arc<RegisterConfig> {
     if cfg.retransmit_interval < 5_000 {
         cfg.retransmit_interval = 20_000;
     }
+    cfg.fast_grace = cfg.fast_grace.max(cfg.retransmit_interval / 10);
     Arc::new(cfg)
 }
 
@@ -141,7 +147,6 @@ struct Io<T> {
     rng: SmallRng,
     next_timer: u64,
     timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    cancelled: HashSet<u64>,
 }
 
 impl<T: Transport> Io<T> {
@@ -149,7 +154,8 @@ impl<T: Transport> Io<T> {
         self.timers.peek().map(|r| r.0 .0)
     }
 
-    /// Pops timers whose deadlines have passed, skipping cancelled ones.
+    /// Pops timers whose deadlines have passed. The coordinator ignores
+    /// the ones it no longer tracks, so nothing is ever cancelled here.
     fn due_timers(&mut self) -> Vec<u64> {
         let now = Instant::now();
         let mut due = Vec::new();
@@ -158,9 +164,7 @@ impl<T: Transport> Io<T> {
                 break;
             }
             self.timers.pop();
-            if !self.cancelled.remove(&id) {
-                due.push(id);
-            }
+            due.push(id);
         }
         due
     }
@@ -191,10 +195,6 @@ impl<T: Transport> Effects for Io<T> {
         let at = Instant::now() + Duration::from_micros(delay);
         self.timers.push(std::cmp::Reverse((at, id)));
         id
-    }
-
-    fn cancel_timer(&mut self, id: u64) {
-        self.cancelled.insert(id);
     }
 
     fn now(&self) -> u64 {
@@ -261,7 +261,6 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
                 rng: SmallRng::seed_from_u64(seed),
                 next_timer: 0,
                 timers: BinaryHeap::new(),
-                cancelled: HashSet::new(),
             },
             coordinator,
             inbox,

@@ -41,10 +41,9 @@ use fab_simnet::FaultPlan;
 use fab_store::{BrickStore, CommitPipeline, CommitStats, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
 use host::{Host, Transport, COMPACT_THRESHOLD};
-use parking_lot::Mutex;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -163,7 +162,7 @@ impl RuntimeCluster {
             let pid = ProcessId::new(i as u32);
             let registry = Arc::new(fab_obs::Registry::new());
             let pipeline =
-                store(i).map(|s| CommitPipeline::spawn_registered(s, COMPACT_THRESHOLD, &registry));
+                store(i).map(|s| CommitPipeline::spawn(s, COMPACT_THRESHOLD, &registry));
             commit_stats.push(pipeline.as_ref().map(CommitPipeline::stats_handle));
             let mut coordinator = Coordinator::new(pid, cfg.clone());
             coordinator.set_metrics(fab_core::OpMetrics::register(&registry));
@@ -266,7 +265,10 @@ impl RuntimeCluster {
         for s in &self.senders {
             let _ = s.send(Event::Shutdown);
         }
-        for h in self.handles.lock().drain(..) {
+        // Runs from `Drop` too, so a poisoned lock must not panic: the
+        // vector of handles is valid at every step.
+        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
+        for h in handles.drain(..) {
             let _ = h.join();
         }
     }

@@ -5,15 +5,13 @@
 //! but not corrupt — messages, and crash-recovery processes. [`SimConfig`]
 //! parameterizes how harsh an instance of that model a run simulates.
 
-use serde::{Deserialize, Serialize};
-
 /// Network and scheduling parameters for a simulation run.
 ///
 /// Delays are in abstract *ticks*; the Table-1 benchmarks set
 /// `min_delay = max_delay = δ` so operation latencies come out in exact
 /// multiples of δ, while correctness tests widen the interval (and add
 /// drops and duplicates) to exercise asynchrony.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Seed for the simulation's deterministic RNG. Same seed + same
     /// scheduled inputs ⇒ identical run.

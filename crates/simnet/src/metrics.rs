@@ -5,10 +5,8 @@
 //! is an actor concern, not a network one). Counters can be snapshotted and
 //! diffed so a harness can attribute costs to a single operation.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative network counters for one simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetMetrics {
     /// Messages handed to the network (including ones later dropped).
     pub messages_sent: u64,

@@ -4,7 +4,7 @@
 
 use fab_simnet::{Actor, Context, SimConfig, Simulation, TimerId, WireSize};
 use fab_timestamp::ProcessId;
-use proptest::prelude::*;
+use propcheck::ensure_eq;
 
 /// A tiny wire message: (is_ack, sequence number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,95 +73,104 @@ impl Actor for Retx {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// A two-brick simulation whose brick 0 submits `count` messages,
+/// `spacing` ticks apart, to brick 1.
+fn stop_and_wait(cfg: SimConfig, count: u64, spacing: u64) -> Simulation<Retx> {
+    let mut sim = Simulation::new(
+        cfg,
+        vec![Retx::new(ProcessId::new(1)), Retx::new(ProcessId::new(0))],
+    );
+    for seq in 0..count {
+        sim.schedule_call(seq * spacing, ProcessId::new(0), move |a, ctx| {
+            a.submit(ctx, seq);
+        });
+    }
+    sim
+}
 
-    /// Fair loss + retransmission: every message is eventually delivered
-    /// and acknowledged, for any drop rate < 1 and any delay spread.
-    #[test]
-    fn retransmission_beats_any_lossy_channel(
-        seed in any::<u64>(),
-        drop_pct in 0u32..90,
-        max_delay in 1u64..30,
-        count in 1u64..12,
-    ) {
-        let cfg = SimConfig::ideal(seed)
-            .delays(1, max_delay)
-            .drop_probability(f64::from(drop_pct) / 100.0);
-        let mut sim = Simulation::new(
-            cfg,
-            vec![Retx::new(ProcessId::new(1)), Retx::new(ProcessId::new(0))],
-        );
-        for seq in 0..count {
-            let at = seq * 1_000;
-            sim.schedule_call(at, ProcessId::new(0), move |a, ctx| {
-                a.submit(ctx, seq);
-            });
-        }
-        sim.run_until_idle();
-        let sender = sim.actor(ProcessId::new(0));
-        prop_assert_eq!(sender.acked.len() as u64, count, "all acked");
-        let receiver = sim.actor(ProcessId::new(1));
-        let mut distinct = receiver.received.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        prop_assert_eq!(distinct.len() as u64, count, "all delivered");
+/// Fair loss + retransmission: every message is eventually delivered and
+/// acknowledged, for any drop rate < 1 and any delay spread.
+fn retransmission_beats_lossy_channel(
+    seed: u64,
+    drop_pct: u32,
+    max_delay: u64,
+    count: u64,
+) -> Result<(), String> {
+    let cfg = SimConfig::ideal(seed)
+        .delays(1, max_delay)
+        .drop_probability(f64::from(drop_pct) / 100.0);
+    let mut sim = stop_and_wait(cfg, count, 1_000);
+    sim.run_until_idle();
+    let sender = sim.actor(ProcessId::new(0));
+    ensure_eq!(sender.acked.len() as u64, count, "all acked");
+    let receiver = sim.actor(ProcessId::new(1));
+    let mut distinct = receiver.received.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    ensure_eq!(distinct.len() as u64, count, "all delivered");
+    Ok(())
+}
+
+/// Crash/recovery scheduling is consistent: messages to a crashed
+/// process are suppressed, and the suppressed + dropped + delivered
+/// counts account for every send (minus in-flight none at idle).
+fn metric_conservation_holds(seed: u64, crash_at: u64, up_after: u64) -> Result<(), String> {
+    let cfg = SimConfig::ideal(seed).delays(1, 5).drop_probability(0.2);
+    let mut sim = stop_and_wait(cfg, 6, 120);
+    sim.schedule_crash(crash_at, ProcessId::new(1));
+    sim.schedule_recovery(crash_at + up_after, ProcessId::new(1));
+    sim.run_until_idle();
+    let m = sim.metrics();
+    ensure_eq!(
+        m.messages_sent + m.messages_duplicated,
+        m.messages_delivered + m.messages_dropped + m.messages_suppressed,
+        "{m:?}"
+    );
+    // Liveness: once the receiver is back, everything completes.
+    ensure_eq!(sim.actor(ProcessId::new(0)).acked.len(), 6);
+    Ok(())
+}
+
+propcheck::properties! {
+    cases: 24;
+
+    fn retransmission_beats_any_lossy_channel(g) {
+        let (drop_pct, max_delay, count) = (g.range(0u32..90), g.range(1u64..30), g.range(1u64..12));
+        retransmission_beats_lossy_channel(g.u64(), drop_pct, max_delay, count)?;
     }
 
     /// Determinism: identical seeds and schedules yield identical
     /// fingerprints and metrics; different seeds (almost surely) diverge
     /// when randomness matters.
-    #[test]
-    fn runs_are_reproducible(seed in any::<u64>(), drop_pct in 5u32..50) {
-        let run = |s: u64| {
-            let cfg = SimConfig::ideal(s)
+    fn runs_are_reproducible(g) {
+        let (seed, drop_pct) = (g.u64(), g.range(5u32..50));
+        let run = || {
+            let cfg = SimConfig::ideal(seed)
                 .delays(1, 20)
                 .drop_probability(f64::from(drop_pct) / 100.0);
-            let mut sim = Simulation::new(
-                cfg,
-                vec![Retx::new(ProcessId::new(1)), Retx::new(ProcessId::new(0))],
-            );
-            for seq in 0..5u64 {
-                sim.schedule_call(seq * 100, ProcessId::new(0), move |a, ctx| {
-                    a.submit(ctx, seq);
-                });
-            }
+            let mut sim = stop_and_wait(cfg, 5, 100);
             sim.run_until_idle();
             (sim.fingerprint(), sim.metrics(), sim.now())
         };
-        prop_assert_eq!(run(seed), run(seed));
+        ensure_eq!(run(), run());
     }
 
-    /// Crash/recovery scheduling is consistent: messages to a crashed
-    /// process are suppressed, and the suppressed + dropped + delivered
-    /// counts account for every send (minus in-flight none at idle).
-    #[test]
-    fn metric_conservation(
-        seed in any::<u64>(),
-        crash_at in 50u64..500,
-        up_after in 1u64..200,
-    ) {
-        let cfg = SimConfig::ideal(seed).delays(1, 5).drop_probability(0.2);
-        let mut sim = Simulation::new(
-            cfg,
-            vec![Retx::new(ProcessId::new(1)), Retx::new(ProcessId::new(0))],
-        );
-        for seq in 0..6u64 {
-            sim.schedule_call(seq * 120, ProcessId::new(0), move |a, ctx| {
-                a.submit(ctx, seq);
-            });
-        }
-        sim.schedule_crash(crash_at, ProcessId::new(1));
-        sim.schedule_recovery(crash_at + up_after, ProcessId::new(1));
-        sim.run_until_idle();
-        let m = sim.metrics();
-        prop_assert_eq!(
-            m.messages_sent + m.messages_duplicated,
-            m.messages_delivered + m.messages_dropped + m.messages_suppressed,
-            "{:?}",
-            m
-        );
-        // Liveness: once the receiver is back, everything completes.
-        prop_assert_eq!(sim.actor(ProcessId::new(0)).acked.len(), 6);
+    fn metric_conservation(g) {
+        let (crash_at, up_after) = (g.range(50u64..500), g.range(1u64..200));
+        metric_conservation_holds(g.u64(), crash_at, up_after)?;
     }
+}
+
+/// A case the suite this one replaced had recorded as a regression
+/// (`seed = 0, drop_pct = 63, max_delay = 7, count = 6`).
+#[test]
+fn retransmission_regression_seed_0_drop_63() {
+    retransmission_beats_lossy_channel(0, 63, 7, 6).unwrap();
+}
+
+/// The other recorded case (`seed = 1985066491072815364, crash_at = 50,
+/// up_after = 72`).
+#[test]
+fn metric_conservation_regression_crash_at_50() {
+    metric_conservation_holds(1_985_066_491_072_815_364, 50, 72).unwrap();
 }

@@ -108,9 +108,9 @@ enum Job<S> {
     Shutdown(Option<Sender<S>>),
 }
 
-/// The pipeline's instruments — `fab-obs` types, so a node can register
-/// them in its metrics registry ([`Counters::registered`]) and have them
-/// appear in `stats-snapshot` replies without any bridging.
+/// The pipeline's instruments, registered under `store_*` names in the
+/// registry the pipeline was spawned with, so a node's `stats-snapshot`
+/// replies carry them without any bridging.
 #[derive(Debug)]
 struct Counters {
     submitted: Arc<Counter>,
@@ -124,22 +124,7 @@ struct Counters {
     batch_records: Arc<Histogram>,
 }
 
-impl Default for Counters {
-    fn default() -> Self {
-        Counters {
-            submitted: Arc::new(Counter::new()),
-            committed: Arc::new(Counter::new()),
-            failed: Arc::new(Counter::new()),
-            syncs: Arc::new(Counter::new()),
-            max_batch: Arc::new(Gauge::new()),
-            fsync_micros: Arc::new(Histogram::new()),
-            batch_records: Arc::new(Histogram::new()),
-        }
-    }
-}
-
 impl Counters {
-    /// Instruments shared with `registry` under `store_*` names.
     fn registered(registry: &fab_obs::Registry) -> Self {
         Counters {
             submitted: registry.counter("store_submitted"),
@@ -230,26 +215,17 @@ impl<S: CommitStore> std::fmt::Debug for CommitPipeline<S> {
 }
 
 impl<S: CommitStore> CommitPipeline<S> {
-    /// Takes ownership of `store` and spawns the committer thread.
+    /// Takes ownership of `store` and spawns the committer thread; the
+    /// pipeline's instruments are registered in `registry` under `store_*`
+    /// names.
     ///
     /// After every batch the committer calls
     /// [`CommitStore::maybe_compact`] with `compact_threshold`, so
     /// compaction also rides off the caller's event loop (pass `u64::MAX`
     /// to disable).
-    pub fn spawn(store: S, compact_threshold: u64) -> Self {
-        Self::spawn_inner(store, compact_threshold, Counters::default())
-    }
-
-    /// Like [`CommitPipeline::spawn`], but the pipeline's instruments are
-    /// registered in `registry` under `store_*` names, so they ride the
-    /// node's `stats-snapshot` exposition with no bridging.
-    pub fn spawn_registered(store: S, compact_threshold: u64, registry: &fab_obs::Registry) -> Self {
-        Self::spawn_inner(store, compact_threshold, Counters::registered(registry))
-    }
-
-    fn spawn_inner(store: S, compact_threshold: u64, counters: Counters) -> Self {
+    pub fn spawn(store: S, compact_threshold: u64, registry: &fab_obs::Registry) -> Self {
         let (tx, rx) = channel();
-        let counters = Arc::new(counters);
+        let counters = Arc::new(Counters::registered(registry));
         let fenced = Arc::new(AtomicBool::new(false));
         let handle = thread::Builder::new()
             .name("fab-commit".into())

@@ -3,6 +3,7 @@
 //! fence, and recovery sees batches all-or-nothing.
 
 use bytes::Bytes;
+use fab_obs::Registry;
 use fab_core::{BlockValue, PersistEvent, StripeId};
 use fab_store::{BrickStore, CommitPipeline};
 use fab_timestamp::{ProcessId, Timestamp};
@@ -34,7 +35,7 @@ fn marker(i: u64) -> Vec<u8> {
 fn waiter_is_released_only_after_bytes_are_on_disk() {
     let dir = tmpdir("durable");
     let path = dir.join("brick.log");
-    let pipeline = CommitPipeline::spawn(BrickStore::open(&path).unwrap(), u64::MAX);
+    let pipeline = CommitPipeline::spawn(BrickStore::open(&path).unwrap(), u64::MAX, &Registry::new());
     for i in 0..20u64 {
         let payload = marker(i);
         let event = PersistEvent::Entry(ts(i + 1), BlockValue::Data(Bytes::from(payload.clone())));
@@ -62,6 +63,7 @@ fn concurrent_submitters_share_fsyncs() {
     let pipeline = Arc::new(CommitPipeline::spawn(
         BrickStore::open(&path).unwrap(),
         u64::MAX,
+        &Registry::new(),
     ));
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 25;
@@ -116,7 +118,7 @@ fn concurrent_submitters_share_fsyncs() {
 fn states_barrier_sees_all_prior_submissions() {
     let dir = tmpdir("states");
     let path = dir.join("brick.log");
-    let pipeline = CommitPipeline::spawn(BrickStore::open(&path).unwrap(), u64::MAX);
+    let pipeline = CommitPipeline::spawn(BrickStore::open(&path).unwrap(), u64::MAX, &Registry::new());
     for i in 0..10u64 {
         pipeline.submit(
             vec![(StripeId(i % 3), PersistEvent::OrdTs(ts(i + 1)))],
@@ -143,7 +145,7 @@ fn failed_commit_fences_the_pipeline() {
     let store = BrickStore::open(&path).unwrap();
     // compact_threshold = 0 forces a compaction after the first batch;
     // with the directory gone, that compaction must fail and fence.
-    let pipeline = CommitPipeline::spawn(store, 0);
+    let pipeline = CommitPipeline::spawn(store, 0, &Registry::new());
     std::fs::remove_dir_all(&dir).unwrap();
     // First append may still succeed (the fd stays writable), but the
     // forced compaction fails, so the pipeline must fence.
@@ -157,12 +159,11 @@ fn failed_commit_fences_the_pipeline() {
 }
 
 #[test]
-fn registered_pipeline_shares_instruments_with_the_registry() {
+fn pipeline_shares_instruments_with_its_registry() {
     let dir = tmpdir("obs");
     let path = dir.join("brick.log");
-    let registry = fab_obs::Registry::new();
-    let pipeline =
-        CommitPipeline::spawn_registered(BrickStore::open(&path).unwrap(), u64::MAX, &registry);
+    let registry = Registry::new();
+    let pipeline = CommitPipeline::spawn(BrickStore::open(&path).unwrap(), u64::MAX, &registry);
     for i in 0..5u64 {
         let event = PersistEvent::Entry(ts(i + 1), BlockValue::Data(Bytes::from(marker(i))));
         pipeline.append_wait(vec![(StripeId(0), event)]).unwrap();

@@ -16,6 +16,7 @@
 //!    the schedule.
 #![cfg(loom)]
 
+use fab_obs::Registry;
 use fab_core::{PersistEvent, StripeId};
 use fab_store::{CommitPipeline, CommitStore, StoreError, StripeState};
 use fab_timestamp::{ProcessId, Timestamp};
@@ -90,7 +91,7 @@ fn callback_runs_strictly_after_covering_sync_and_in_fifo_order() {
     loom::model(|| {
         let synced: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let pipeline = CommitPipeline::spawn(FakeStore::reliable(&synced), u64::MAX);
+        let pipeline = CommitPipeline::spawn(FakeStore::reliable(&synced), u64::MAX, &Registry::new());
         for tick in 1..=3u64 {
             let synced = Arc::clone(&synced);
             let order = Arc::clone(&order);
@@ -120,6 +121,7 @@ fn racing_submitters_both_become_durable() {
         let pipeline = Arc::new(CommitPipeline::spawn(
             FakeStore::reliable(&synced),
             u64::MAX,
+            &Registry::new(),
         ));
         let d1 = Arc::new(AtomicBool::new(false));
         let d2 = Arc::new(AtomicBool::new(false));
@@ -156,7 +158,7 @@ fn failed_sync_fences_the_pipeline_and_resolves_non_durable() {
     loom::model(|| {
         let synced: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let pipeline =
-            CommitPipeline::spawn(FakeStore::failing_immediately(&synced), u64::MAX);
+            CommitPipeline::spawn(FakeStore::failing_immediately(&synced), u64::MAX, &Registry::new());
         let saw: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
         {
             let saw = Arc::clone(&saw);

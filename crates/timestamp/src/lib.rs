@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of a process (storage brick) in the system `U = {p_1, …, p_n}`.
@@ -39,9 +38,7 @@ use std::fmt;
 /// Process ids are dense small integers `0..n`; the paper's convention that
 /// "process *j* stores block *j*" maps process id `j` to stripe block `j`
 /// (0-based here: ids `0..m` hold data blocks, `m..n` parity blocks).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(u32);
 
 impl ProcessId {
@@ -92,7 +89,7 @@ impl From<ProcessId> for u32 {
 /// order required by §2.3. The sentinels `LOW` (= `LowTS`) and `HIGH`
 /// (= `HighTS`) compare strictly below / above every generated timestamp;
 /// [`TimestampGenerator`] never produces either sentinel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp {
     ticks: u64,
     pid: u32,
@@ -189,7 +186,7 @@ impl fmt::Display for Timestamp {
 /// A clock-skew offset can be injected with
 /// [`with_skew`](TimestampGenerator::with_skew) to study the abort-rate
 /// effects §3 discusses (skew affects only the abort rate, never safety).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimestampGenerator {
     pid: ProcessId,
     last_ticks: u64,

@@ -463,7 +463,7 @@ impl TortureBrick {
             probe_policy = (rt.judge, rt.margin);
             for c in &completions {
                 if let Some(stripe) = rt.pending.remove(&c.op) {
-                    rt.driver.on_scrub_result(stripe, &c.result, now);
+                    rt.driver.on_scrub_result(stripe, Ok(&c.result), now);
                     rt.dirty = true;
                     if matches!(&c.result, OpResult::Stripe(fab_core::StripeValue::Data(_))) {
                         rt.repaired.push(stripe);

@@ -14,10 +14,9 @@
 //!   unlikely under concurrent sequential workloads.
 
 use fab_core::StripeId;
-use serde::{Deserialize, Serialize};
 
 /// How logical blocks map onto stripes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
     /// Consecutive blocks fill one stripe before moving to the next.
     Linear,
@@ -27,7 +26,7 @@ pub enum Layout {
 }
 
 /// The shape of one logical volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VolumeGeometry {
     /// Number of stripes (independent storage registers).
     pub stripe_count: u64,

@@ -10,7 +10,7 @@
 # Stages:
 #   1. release build          — the code must compile with optimizations
 #   2. test suite             — workspace unit + integration tests
-#   3. bench compile          — criterion benches must keep building
+#   3. bench compile          — bench targets must keep building
 #   4. protocol static lints  — `cargo xtask analyze` (L1–L6, zero tolerance),
 #                               then `cargo xtask loc`: the per-crate non-test
 #                               line counts simplicity PRs quote (informational)
