@@ -9,10 +9,8 @@
 
 use bytes::Bytes;
 use fab_core::{AbortReason, ClientOp, OpResult, RegisterConfig, SimCluster, StripeId};
-use fab_simnet::SimConfig;
+use fab_simnet::{Rng64, SimConfig};
 use fab_timestamp::ProcessId;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Mix and locality of a generated request stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,17 +86,17 @@ impl Op {
 
 /// Generates a request stream from a spec, deterministically from `seed`.
 pub fn generate(spec: &WorkloadSpec, m: usize, seed: u64) -> Vec<Op> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng64::new(seed);
     let mut ops = Vec::with_capacity(spec.operations);
     for i in 0..spec.operations {
         let stripe = StripeId(pick_skewed(&mut rng, spec.stripes, spec.skew));
-        let read = rng.gen::<f64>() < spec.read_fraction;
-        let whole = rng.gen::<f64>() < 0.25;
+        let read = rng.unit() < spec.read_fraction;
+        let whole = rng.unit() < 0.25;
         let op = match (read, whole) {
             (true, true) => Op::ReadStripe(stripe),
-            (true, false) => Op::ReadBlock(stripe, rng.gen_range(0..m)),
+            (true, false) => Op::ReadBlock(stripe, rng.below(m as u64) as usize),
             (false, true) => Op::WriteStripe(stripe, i as u8),
-            (false, false) => Op::WriteBlock(stripe, rng.gen_range(0..m), i as u8),
+            (false, false) => Op::WriteBlock(stripe, rng.below(m as u64) as usize, i as u8),
         };
         ops.push(op);
     }
@@ -107,11 +105,11 @@ pub fn generate(spec: &WorkloadSpec, m: usize, seed: u64) -> Vec<Op> {
 
 /// Skewed stripe pick: with probability `skew`, land in the hot 10% of
 /// stripes; otherwise uniform.
-fn pick_skewed(rng: &mut SmallRng, stripes: u64, skew: f64) -> u64 {
-    if stripes > 10 && rng.gen::<f64>() < skew {
-        rng.gen_range(0..stripes.div_ceil(10))
+fn pick_skewed(rng: &mut Rng64, stripes: u64, skew: f64) -> u64 {
+    if stripes > 10 && rng.unit() < skew {
+        rng.below(stripes.div_ceil(10))
     } else {
-        rng.gen_range(0..stripes)
+        rng.below(stripes)
     }
 }
 

@@ -44,8 +44,7 @@ impl Effects for CtxFx<'_, '_> {
         self.ctx.now()
     }
     fn rand_u64(&mut self) -> u64 {
-        use rand::Rng;
-        self.ctx.rng().gen()
+        self.ctx.rng().next_u64()
     }
 }
 

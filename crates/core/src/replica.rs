@@ -162,7 +162,7 @@ impl Replica {
     pub fn on_crash(&mut self) {
         // ord_ts and log survive: they are store()d on every mutation.
         //
-        // Mutation-smoke variant (`cargo xtask torture --mutation-smoke`):
+        // Mutation-smoke variant (`tools/nightly.sh` phase 3):
         // pretend ord-ts lived in volatile RAM and was lost on crash,
         // falling back to the log's max timestamp. The torture suite must
         // detect the resulting ord-ts regression / partial-write exposure.

@@ -1,5 +1,4 @@
-//! Unified observability substrate: lock-free metrics and a deterministic
-//! structured-event ring.
+//! Unified observability substrate: lock-free metrics.
 //!
 //! Every layer of the FAB reproduction shares one vocabulary of
 //! instruments, registered by name in a [`Registry`]:
@@ -15,10 +14,6 @@
 //!   is exact at one linearization point, which is what lets the torture
 //!   suite reconcile it against journal ground truth as a convicting
 //!   invariant. `tests/loom.rs` model-checks the no-tear property.
-//! * [`EventRing`] — a bounded ring of structured [`Event`]s whose
-//!   timestamps are **injected** by the caller (sim ticks under
-//!   `fab-simnet`, a monotonic-clock offset under `fab-net`), never read
-//!   from a wall clock here.
 //!
 //! # Determinism rules (L2)
 //!
@@ -36,9 +31,6 @@ use std::sync::{Arc, Mutex};
 
 /// Number of log2 histogram buckets (`2^0 .. 2^63`).
 pub const HIST_BUCKETS: usize = 64;
-
-/// Default capacity of a [`Registry`]'s event ring.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 // ---------------------------------------------------------------- counter --
 
@@ -269,123 +261,6 @@ impl PairCounter {
     }
 }
 
-// -------------------------------------------------------------- event ring --
-
-/// One structured trace event. Fixed-size and allocation-free: `kind` is
-/// a static label, `a`/`b` carry event-specific payload (op id, stripe,
-/// latency — whatever the recording site documents).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Caller-injected timestamp (sim ticks or monotonic micros — never
-    /// read from a clock here).
-    pub at: u64,
-    /// Static event label (`"read-recovered"`, `"commit-fenced"`, ...).
-    pub kind: &'static str,
-    /// First payload word.
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
-}
-
-#[derive(Debug)]
-struct RingInner {
-    /// Events, oldest first once the ring has wrapped.
-    buf: Vec<Event>,
-    /// Index of the next slot to overwrite.
-    next: usize,
-    /// Events evicted by wraparound.
-    overwritten: u64,
-}
-
-/// A bounded ring of [`Event`]s: recording never blocks progress on
-/// anything but the ring's own short critical section (the `ring` lock
-/// class, rank-last and bounded — see `tools/xtask/src/model.rs`), never
-/// allocates after the ring fills, and overwrites the oldest event when
-/// full (counted, never silent). The occupancy queries are lock-free so
-/// event-loop threads can poll them without ever waiting on a tracer.
-#[derive(Debug)]
-pub struct EventRing {
-    capacity: usize,
-    /// Events currently held, maintained outside the lock so `len` /
-    /// `is_empty` never wait (monotone: grows to `capacity`, then stays).
-    held: AtomicU64,
-    /// Events dropped because a concurrent writer or reader held the
-    /// ring at record time.
-    dropped: AtomicU64,
-    ring: Mutex<RingInner>,
-}
-
-impl EventRing {
-    /// A ring holding at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        EventRing {
-            capacity,
-            held: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            ring: Mutex::new(RingInner {
-                buf: Vec::with_capacity(capacity),
-                next: 0,
-                overwritten: 0,
-            }),
-        }
-    }
-
-    /// Appends one event, evicting the oldest if the ring is full.
-    /// Never blocks: a contended or poisoned lock drops the event (the
-    /// drop is counted in `dropped`) rather than stalling the recording
-    /// thread — tracing must not add a wait to a protocol hot path.
-    pub fn record(&self, event: Event) {
-        let Ok(mut ring) = self.ring.try_lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let occupied = ring.buf.len();
-        if occupied < self.capacity {
-            ring.buf.push(event);
-            self.held.store(occupied as u64 + 1, Ordering::Release);
-        } else {
-            let slot = ring.next;
-            ring.buf[slot] = event;
-            ring.next = (slot + 1) % self.capacity;
-            ring.overwritten += 1;
-        }
-    }
-
-    /// The ring's contents, oldest first, plus how many events wraparound
-    /// has evicted.
-    #[must_use]
-    pub fn capture(&self) -> (Vec<Event>, u64) {
-        let Ok(ring) = self.ring.lock() else {
-            return (Vec::new(), 0);
-        };
-        let mut out = Vec::with_capacity(ring.buf.len());
-        out.extend_from_slice(&ring.buf[ring.next..]);
-        out.extend_from_slice(&ring.buf[..ring.next]);
-        (out, ring.overwritten)
-    }
-
-    /// Events currently held (lock-free).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.held.load(Ordering::Acquire) as usize
-    }
-
-    /// Whether no event has been recorded yet (lock-free).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped by `record` because the ring was contended
-    /// (lock-free).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 // --------------------------------------------------------------- registry --
 
 /// A pair's registered entry: the packed counter plus the two exposition
@@ -409,32 +284,16 @@ struct RegistryInner {
 /// request and shared thereafter (`Arc`), so the hot path holds direct
 /// handles and never takes the registry lock; the lock guards only
 /// registration and snapshots.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
-    events: EventRing,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
 }
 
 impl Registry {
-    /// An empty registry with the default event-ring capacity.
+    /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
-        Registry::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// An empty registry whose event ring holds `capacity` events.
-    #[must_use]
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Registry {
-            inner: Mutex::new(RegistryInner::default()),
-            events: EventRing::new(capacity),
-        }
+        Registry::default()
     }
 
     fn locked(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
@@ -493,17 +352,6 @@ impl Registry {
                 })
                 .pair,
         )
-    }
-
-    /// Records a trace event with a caller-injected timestamp.
-    pub fn trace(&self, at: u64, kind: &'static str, a: u64, b: u64) {
-        self.events.record(Event { at, kind, a, b });
-    }
-
-    /// The registry's event ring.
-    #[must_use]
-    pub fn events(&self) -> &EventRing {
-        &self.events
     }
 
     /// A point-in-time snapshot of every registered instrument, in stable
@@ -645,27 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_wraps_and_counts_evictions() {
-        let ring = EventRing::new(3);
-        for i in 0..5u64 {
-            ring.record(Event {
-                at: i,
-                kind: "t",
-                a: i,
-                b: 0,
-            });
-        }
-        let (events, overwritten) = ring.capture();
-        assert_eq!(overwritten, 2);
-        assert_eq!(
-            events.iter().map(|e| e.at).collect::<Vec<_>>(),
-            vec![2, 3, 4],
-            "oldest first after wraparound"
-        );
-        assert_eq!(ring.len(), 3);
-    }
-
-    #[test]
     fn registry_reuses_instruments_and_snapshots_stably() {
         let reg = Registry::new();
         let c1 = reg.counter("reads");
@@ -693,18 +520,5 @@ mod tests {
         assert!(text.contains("counter reads 2"));
         assert!(text.contains("gauge depth 4"));
         assert!(text.contains("histogram lat count=1"));
-    }
-
-    #[test]
-    fn trace_events_carry_injected_timestamps() {
-        let reg = Registry::with_event_capacity(2);
-        reg.trace(10, "read-recovered", 1, 2);
-        reg.trace(20, "read-recovered", 3, 4);
-        reg.trace(30, "commit", 5, 6);
-        let (events, overwritten) = reg.events().capture();
-        assert_eq!(overwritten, 1);
-        assert_eq!(events[0].at, 20);
-        assert_eq!(events[1].at, 30);
-        assert_eq!(events[1].kind, "commit");
     }
 }

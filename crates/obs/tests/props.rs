@@ -1,7 +1,7 @@
 //! Property tests for the metrics substrate: bucket placement, quantile
-//! monotonicity, pair-counter exactness, ring-buffer bounds.
+//! monotonicity, pair-counter exactness.
 
-use fab_obs::{Event, EventRing, Histogram, PairCounter, Registry, HIST_BUCKETS};
+use fab_obs::{Histogram, PairCounter, Registry, HIST_BUCKETS};
 use propcheck::{ensure, ensure_eq, Gen};
 
 propcheck::properties! {
@@ -65,23 +65,6 @@ propcheck::properties! {
         }
         ensure_eq!(p.get(), (u64::from(firsts), u64::from(seconds)));
         ensure_eq!(p.total(), u64::from(firsts) + u64::from(seconds));
-    }
-
-    /// The ring never exceeds its capacity, evictions are counted exactly,
-    /// and a snapshot is the most recent `capacity` events in order.
-    fn ring_is_bounded_and_ordered(g) {
-        let (capacity, n) = (g.range(1usize..16), g.range(0usize..64));
-        let ring = EventRing::new(capacity);
-        for i in 0..n {
-            ring.record(Event { at: i as u64, kind: "e", a: 0, b: 0 });
-        }
-        let (events, overwritten) = ring.capture();
-        ensure!(events.len() <= capacity);
-        ensure_eq!(events.len(), n.min(capacity));
-        ensure_eq!(overwritten, n.saturating_sub(capacity) as u64);
-        let expected: Vec<u64> = (n.saturating_sub(capacity)..n).map(|i| i as u64).collect();
-        let got: Vec<u64> = events.iter().map(|e| e.at).collect();
-        ensure_eq!(got, expected);
     }
 
     /// Registry snapshots are deterministic: same recording sequence,

@@ -35,8 +35,6 @@
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,25 +45,31 @@ pub const FULL: u32 = 1 << 10;
 /// The seed of every [`check`] run.
 pub const SEED: u64 = 0xFAB;
 
-/// The random source of one case.
+/// The random source of one case: a splitmix64 stream (the algorithm of
+/// `fab_simnet::Rng64`, stepped here so this crate depends on nothing).
 #[derive(Debug)]
 pub struct Gen {
-    rng: SmallRng,
+    state: u64,
     size: u32,
 }
 
 impl Gen {
     fn new(seed: u64, case: u32, size: u32) -> Self {
-        let stream = seed ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Gen {
-            rng: SmallRng::seed_from_u64(stream),
-            size,
-        }
+        let state = seed ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut g = Gen { state, size };
+        // Neighbouring cases would otherwise walk overlapping stretches of
+        // one additive sequence; start each at a hashed position instead.
+        g.state = g.u64();
+        g
     }
 
     /// Any `u64` (never scaled: use it for seeds and opaque payloads).
     pub fn u64(&mut self) -> u64 {
-        self.rng.gen()
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
     /// Any `u8` (never scaled).

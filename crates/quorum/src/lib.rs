@@ -34,8 +34,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 use fab_timestamp::ProcessId;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::error::Error;
 use std::fmt;
 
@@ -155,15 +153,6 @@ impl MQuorumSystem {
         self.n - 2 * self.f
     }
 
-    /// Iterates over the universe `U = {p_0, …, p_{n−1}}`.
-    pub fn universe(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        // `filter_map` rather than `as`: an index that does not fit in a
-        // `u32` cannot name a process, so it is dropped instead of wrapped.
-        (0..self.n)
-            .filter_map(|i| u32::try_from(i).ok())
-            .map(ProcessId::new)
-    }
-
     /// Returns `true` if the distinct processes in `members` form a quorum.
     ///
     /// Out-of-universe ids are ignored; duplicates count once.
@@ -181,33 +170,6 @@ impl MQuorumSystem {
             }
         }
         count >= self.quorum_size()
-    }
-
-    /// Samples a uniformly random quorum of exactly `quorum_size()`
-    /// processes (used by tests and the fast-read target picker).
-    #[must_use]
-    pub fn random_quorum<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<ProcessId> {
-        let mut ids: Vec<ProcessId> = self.universe().collect();
-        ids.shuffle(rng);
-        ids.truncate(self.quorum_size());
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Samples `k` distinct random processes from the universe (the
-    /// "pick m random processes" step of `fast-read-stripe`, Alg. 1 line 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    #[must_use]
-    pub fn random_processes<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<ProcessId> {
-        assert!(k <= self.n, "cannot sample {k} of {} processes", self.n);
-        let mut ids: Vec<ProcessId> = self.universe().collect();
-        ids.shuffle(rng);
-        ids.truncate(k);
-        ids.sort_unstable();
-        ids
     }
 }
 
@@ -298,8 +260,6 @@ impl QuorumTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn for_code_uses_max_faults() {
@@ -414,32 +374,6 @@ mod tests {
             ProcessId::new(99),
         ];
         assert!(!q.is_quorum(oob));
-    }
-
-    #[test]
-    fn random_quorum_is_valid_and_distinct() {
-        let q = MQuorumSystem::for_code(5, 8).unwrap();
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..50 {
-            let members = q.random_quorum(&mut rng);
-            assert_eq!(members.len(), q.quorum_size());
-            assert!(q.is_quorum(members.iter().copied()));
-            let mut sorted = members.clone();
-            sorted.dedup();
-            assert_eq!(sorted.len(), members.len(), "members must be distinct");
-        }
-    }
-
-    #[test]
-    fn random_processes_samples_k_distinct() {
-        let q = MQuorumSystem::for_code(5, 8).unwrap();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let picked = q.random_processes(&mut rng, 5);
-        assert_eq!(picked.len(), 5);
-        let mut d = picked.clone();
-        d.dedup();
-        assert_eq!(d.len(), 5);
-        assert!(picked.iter().all(|p| p.index() < 8));
     }
 
     #[test]

@@ -4,8 +4,6 @@
 use fab_quorum::{MQuorumSystem, QuorumTracker};
 use fab_timestamp::ProcessId;
 use propcheck::{ensure, ensure_eq, Gen};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// An `(m, n)` code with `n` drawn from `n_range` and `1 <= m < n` (`m = 1`
 /// when `n = 1`).
@@ -14,15 +12,24 @@ fn code(g: &mut Gen, n_range: std::ops::RangeInclusive<usize>) -> (usize, usize)
     (g.range(1..=(n - 1).max(1)), n)
 }
 
+/// `k` distinct processes of `0..n`: a partial Fisher–Yates over `g`.
+fn subset(g: &mut Gen, n: usize, k: usize) -> Vec<ProcessId> {
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    for i in 0..k {
+        let j = g.range(i..n);
+        ids.swap(i, j);
+    }
+    ids[..k].iter().map(|&p| ProcessId::new(p)).collect()
+}
+
 propcheck::properties! {
     cases: 256;
 
     fn random_quorums_intersect_in_at_least_m(g) {
         let (m, n) = code(g, 1..=64);
         let q = MQuorumSystem::for_code(m, n).unwrap();
-        let mut rng = SmallRng::seed_from_u64(g.u64());
-        let a = q.random_quorum(&mut rng);
-        let b = q.random_quorum(&mut rng);
+        let a = subset(g, n, q.quorum_size());
+        let b = subset(g, n, q.quorum_size());
         let inter = a.iter().filter(|p| b.contains(p)).count();
         ensure!(inter >= m, "m={m} n={n} intersection={inter}");
         ensure!(inter >= q.min_intersection());
@@ -32,10 +39,9 @@ propcheck::properties! {
     fn any_quorum_survives_max_faults(g) {
         let (m, n) = code(g, 1..=64);
         let q = MQuorumSystem::for_code(m, n).unwrap();
-        let mut rng = SmallRng::seed_from_u64(g.u64());
-        let faulty = q.random_processes(&mut rng, q.max_faulty());
-        let survivors: Vec<ProcessId> = q.universe().filter(|p| !faulty.contains(p)).collect();
-        ensure!(q.is_quorum(survivors.iter().copied()));
+        let faulty = subset(g, n, q.max_faulty());
+        let survivors = (0..n as u32).map(ProcessId::new).filter(|p| !faulty.contains(p));
+        ensure!(q.is_quorum(survivors));
     }
 
     fn one_extra_fault_breaks_availability_or_consistency(g) {

@@ -33,11 +33,9 @@ use fab_core::{
     ClientError, ClientOp, Completion, Coordinator, Effects, Envelope, OpResult, Payload,
     RegisterConfig, Replica, StripeId,
 };
-use fab_simnet::FaultPlan;
+use fab_simnet::{FaultPlan, Rng64};
 use fab_store::{BrickStore, CommitPipeline, CommitStore};
 use fab_timestamp::{ProcessId, Timestamp};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,7 +142,7 @@ struct Io<T> {
     transport: T,
     faults: Arc<FaultPlan>,
     epoch: Instant,
-    rng: SmallRng,
+    rng: Rng64,
     next_timer: u64,
     timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
 }
@@ -174,7 +172,7 @@ impl<T: Transport> Io<T> {
     /// is needed to deliver it later. `None` means the fair-loss channel
     /// dropped it.
     fn defer_send(&mut self, to: ProcessId, env: Envelope) -> Option<T::Send> {
-        if to != self.pid && self.faults.should_drop(self.rng.gen_range(0..1_000_000)) {
+        if to != self.pid && self.faults.should_drop(self.rng.below(1_000_000)) {
             self.transport.dropped(to);
             return None;
         }
@@ -202,7 +200,7 @@ impl<T: Transport> Effects for Io<T> {
     }
 
     fn rand_u64(&mut self) -> u64 {
-        self.rng.gen()
+        self.rng.next_u64()
     }
 }
 
@@ -258,7 +256,7 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
                 transport,
                 faults,
                 epoch,
-                rng: SmallRng::seed_from_u64(seed),
+                rng: Rng64::new(seed),
                 next_timer: 0,
                 timers: BinaryHeap::new(),
             },

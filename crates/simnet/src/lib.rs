@@ -29,9 +29,11 @@
 pub mod config;
 pub mod fault;
 pub mod metrics;
+pub mod rng;
 pub mod sim;
 
 pub use config::SimConfig;
 pub use fault::{Backoff, FaultPlan};
 pub use metrics::{NetMetrics, WireSize};
+pub use rng::Rng64;
 pub use sim::{Actor, Context, SimTime, Simulation, TimerId};

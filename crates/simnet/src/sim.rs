@@ -14,9 +14,8 @@
 
 use crate::config::SimConfig;
 use crate::metrics::{NetMetrics, WireSize};
+use crate::rng::Rng64;
 use fab_timestamp::ProcessId;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -72,7 +71,7 @@ enum Effect<M> {
 pub struct Context<'a, M> {
     pid: ProcessId,
     now: SimTime,
-    rng: &'a mut SmallRng,
+    rng: &'a mut Rng64,
     effects: &'a mut Vec<Effect<M>>,
     next_timer: &'a mut u64,
 }
@@ -120,7 +119,7 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The simulation's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SmallRng {
+    pub fn rng(&mut self) -> &mut Rng64 {
         self.rng
     }
 }
@@ -212,7 +211,7 @@ pub struct Simulation<A: Actor> {
     seq: u64,
     heap: BinaryHeap<Event<A>>,
     slots: Vec<Slot<A>>,
-    rng: SmallRng,
+    rng: Rng64,
     /// Partition group of each process; differing groups cannot exchange
     /// messages.
     partition: Vec<u32>,
@@ -247,7 +246,7 @@ impl<A: Actor> Simulation<A> {
     pub fn new(config: SimConfig, actors: Vec<A>) -> Self {
         assert!(!actors.is_empty(), "simulation needs at least one actor");
         let n = actors.len();
-        let rng = SmallRng::seed_from_u64(config.seed);
+        let rng = Rng64::new(config.seed);
         Simulation {
             config,
             now: 0,
@@ -566,28 +565,16 @@ impl<A: Actor> Simulation<A> {
             self.metrics.messages_suppressed += 1;
             return;
         }
-        if self.config.drop_probability > 0.0
-            && self.rng.gen::<f64>() < self.config.drop_probability
-        {
+        if self.config.drop_probability > 0.0 && self.rng.unit() < self.config.drop_probability {
             self.metrics.messages_dropped += 1;
             return;
         }
-        let delay = if self.config.min_delay == self.config.max_delay {
-            self.config.min_delay
-        } else {
-            self.rng
-                .gen_range(self.config.min_delay..=self.config.max_delay)
-        };
+        let delay = self.rng.range(self.config.min_delay, self.config.max_delay);
         let duplicate = self.config.duplicate_probability > 0.0
-            && self.rng.gen::<f64>() < self.config.duplicate_probability;
+            && self.rng.unit() < self.config.duplicate_probability;
         if duplicate {
             self.metrics.messages_duplicated += 1;
-            let extra_delay = if self.config.min_delay == self.config.max_delay {
-                self.config.min_delay
-            } else {
-                self.rng
-                    .gen_range(self.config.min_delay..=self.config.max_delay)
-            };
+            let extra_delay = self.rng.range(self.config.min_delay, self.config.max_delay);
             self.push(
                 self.now + extra_delay,
                 EventKind::Deliver {

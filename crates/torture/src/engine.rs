@@ -110,11 +110,15 @@ pub fn run_plan(plan: &CampaignPlan) -> RunReport {
     let mut stats = RunStats::default();
     let mut violations: Vec<String> = Vec::new();
 
-    let cfg = match RegisterConfig::new(plan.m, plan.n, plan.block_size) {
+    let cfg = plan.check_ranges().and_then(|()| {
+        RegisterConfig::new(plan.m, plan.n, plan.block_size)
+            .map_err(|e| format!("plan-config: {e}"))
+    });
+    let cfg = match cfg {
         Ok(c) => c,
         Err(e) => {
             return RunReport {
-                violations: vec![format!("plan-config: {e}")],
+                violations: vec![e],
                 stats,
             }
         }
@@ -185,15 +189,6 @@ pub fn run_plan(plan: &CampaignPlan) -> RunReport {
     // Repair phase: crash the brick, wipe its disk, restart it empty,
     // then have the next brick plan and drive the rebuild mid-workload.
     if let Some(rp) = plan.repair {
-        if u64::from(rp.brick) >= plan.n as u64 {
-            return RunReport {
-                violations: vec![format!(
-                    "plan-config: repair brick {} out of range (n = {})",
-                    rp.brick, plan.n
-                )],
-                stats,
-            };
-        }
         stats.wipes += 1;
         let target = ProcessId::new(rp.brick);
         sim.schedule_crash(rp.at, target);

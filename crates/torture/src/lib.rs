@@ -16,7 +16,7 @@
 //! ([`shrink`]) and written as replayable `.seed` artifacts (the
 //! [`plan::CampaignPlan::to_text`] format). The same plans cross-check
 //! against a real `fab-net` loopback TCP cluster ([`differential`]).
-//! A mutation smoke-mode (see `cargo xtask torture --mutation-smoke`)
+//! A mutation smoke-mode (`tools/nightly.sh` phase 3)
 //! flips known-critical protocol lines behind `#[cfg(fab_mutation)]`
 //! gates in `fab-core` and asserts the suite catches each one.
 

@@ -43,7 +43,7 @@ impl Default for Options {
             differential: 0,
             replay: None,
             artifact_dir: PathBuf::from("target/torture"),
-            bench_out: PathBuf::from("BENCH_torture.json"),
+            bench_out: PathBuf::from("target/torture/BENCH_torture.json"),
             shrink_budget: 4000,
         }
     }
@@ -105,7 +105,7 @@ usage: fab-torture [options]
   --differential N      also replay the first N plans on a TCP loopback cluster
   --replay FILE         run a single .seed artifact instead of generating plans
   --artifact-dir DIR    where failing seeds are written (default target/torture)
-  --bench-out FILE      benchmark JSON (default BENCH_torture.json)
+  --bench-out FILE      campaign summary JSON (default target/torture/BENCH_torture.json)
   --shrink-budget N     max candidate runs while minimizing (default 4000)";
 
 /// Aggregate campaign counters for the benchmark artifact.
@@ -293,6 +293,9 @@ fn write_bench(path: &Path, opts: &Options, totals: &Totals, fault_kinds: &BTree
     s.push_str("  },\n");
     s.push_str(&format!("  \"fingerprint\": \"{:016x}\"\n", totals.fingerprint));
     s.push_str("}\n");
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(path, s)
 }
 

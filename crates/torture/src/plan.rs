@@ -3,55 +3,14 @@
 //! schedule — plus a line-based text format so failing plans can be
 //! written to disk as replayable `.seed` artifacts and shrunk offline.
 //!
-//! Everything here is a pure function of the seed: no ambient randomness,
-//! no `rand` dependency. The generator uses a splitmix64 stream, which is
-//! stable across platforms and Rust versions.
+//! Everything here is a pure function of the seed: no ambient randomness.
+//! The generator draws from [`fab_simnet::Rng64`], the same splitmix64
+//! stream the simulator runs the plan on.
 
 use crate::value::{stripe_blocks, tagged_block};
 use fab_core::{ClientOp, StripeId};
+use fab_simnet::Rng64;
 use std::fmt::Write as _;
-
-/// A tiny deterministic PRNG (splitmix64). Not cryptographic; used only
-/// to derive campaign plans from seeds reproducibly.
-#[derive(Debug, Clone)]
-pub struct Rng64 {
-    state: u64,
-}
-
-impl Rng64 {
-    /// Creates a stream seeded with `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Rng64 {
-            state: seed.wrapping_add(0x9e37_79b9_7f4a_7c15),
-        }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-
-    /// Uniform value in `lo..=hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-
-    /// `true` with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-}
 
 /// Network model of one campaign (maps onto [`fab_simnet::SimConfig`]).
 /// Probabilities are in parts-per-million so plans are integer-exact in
@@ -553,7 +512,48 @@ impl CampaignPlan {
         if plan.horizon == 0 {
             return Err("plan missing `horizon`".to_string());
         }
+        plan.check_ranges()?;
         Ok(plan)
+    }
+
+    /// Checks that every brick and stripe the plan names exists: the
+    /// engine indexes its `n` actors by these, and a hand-edited `.seed`
+    /// must be refused, not panic.
+    ///
+    /// # Errors
+    ///
+    /// `plan-config: <what> <index> out of range (<limit>)` for the first
+    /// offender.
+    pub fn check_ranges(&self) -> Result<(), String> {
+        let below = |what: &str, v: u64, limit: u64, name: &str| {
+            if v < limit {
+                return Ok(());
+            }
+            Err(format!(
+                "plan-config: {what} {v} out of range ({name} = {limit})"
+            ))
+        };
+        let brick = |what: &str, pid: u32| below(what, pid.into(), self.n as u64, "n");
+        for op in &self.ops {
+            brick("coordinator brick", op.coordinator)?;
+            below("op stripe", op.stripe, self.stripes, "stripes")?;
+        }
+        for f in &self.faults {
+            match &f.kind {
+                FaultKind::Crash(p) => brick("crash brick", *p)?,
+                FaultKind::Recover(p) => brick("recover brick", *p)?,
+                FaultKind::Partition(groups) => {
+                    for p in groups.iter().flatten() {
+                        brick("partition brick", *p)?;
+                    }
+                }
+                FaultKind::Heal => {}
+            }
+        }
+        match self.repair {
+            Some(r) => brick("repair brick", r.brick),
+            None => Ok(()),
+        }
     }
 }
 
@@ -584,6 +584,7 @@ mod tests {
             assert!(p.m < p.n);
             assert_eq!(p.skews.len(), p.n);
             assert!(p.stripes >= 1);
+            assert_eq!(p.check_ranges(), Ok(()), "seed {seed}");
             // Op times strictly increasing (completion-matching key).
             for w in p.ops.windows(2) {
                 assert!(w[0].at < w[1].at, "seed {seed}: duplicate op time");
@@ -591,15 +592,12 @@ mod tests {
             // Everything happens before the stabilization epilogue.
             for op in &p.ops {
                 assert!(op.at < p.horizon);
-                assert!(u64::from(op.coordinator) < p.n as u64);
-                assert!(op.stripe < p.stripes);
             }
             for f in &p.faults {
                 assert!(f.at < p.horizon);
             }
             if let Some(r) = p.repair {
                 assert!(r.at < p.horizon, "seed {seed}: repair after epilogue");
-                assert!(u64::from(r.brick) < p.n as u64, "seed {seed}: bad repair brick");
             }
             // Write ids are unique and non-zero.
             let ids: Vec<u64> = p.ops.iter().filter_map(|o| o.kind.write_id()).collect();
@@ -650,6 +648,41 @@ mod tests {
         let mut text = generate(3).to_text();
         text.push_str("repair 100 banana\n");
         assert!(CampaignPlan::parse(&text).is_err());
+    }
+
+    #[test]
+    fn parse_refuses_out_of_range_bricks_and_stripes() {
+        let base = "fab-torture-plan v1\nshape 2 4 16\nstripes 2\nhorizon 4000\nskews 0 0 0 0\n";
+        for (line, want) in [
+            (
+                "op 748 9 0 read-block0",
+                "coordinator brick 9 out of range (n = 4)",
+            ),
+            (
+                "op 748 0 2 read-stripe",
+                "op stripe 2 out of range (stripes = 2)",
+            ),
+            ("fault 84 crash 9", "crash brick 9 out of range (n = 4)"),
+            ("fault 84 recover 4", "recover brick 4 out of range (n = 4)"),
+            (
+                "fault 84 partition 0,1|2,9",
+                "partition brick 9 out of range (n = 4)",
+            ),
+            ("repair 100 9", "repair brick 9 out of range (n = 4)"),
+        ] {
+            let err = CampaignPlan::parse(&format!("{base}{line}\n")).unwrap_err();
+            assert_eq!(err, format!("plan-config: {want}"), "{line}");
+        }
+    }
+
+    #[test]
+    fn corpus_plans_parse() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+        for entry in std::fs::read_dir(dir).expect("crates/torture/corpus") {
+            let path = entry.expect("corpus entry").path();
+            let text = std::fs::read_to_string(&path).expect("corpus file");
+            CampaignPlan::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 use bytes::Bytes;
 use fab::prelude::*;
 use fab_core::OpResult;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use fab_simnet::Rng64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let reads = reads.clone();
         let writes = writes.clone();
         handles.push(std::thread::spawn(move || {
-            let mut rng = SmallRng::seed_from_u64(t as u64);
+            let mut rng = Rng64::new(t as u64);
             // Each client owns a disjoint slice of objects so its local
             // model is authoritative (web caches shard the same way).
             let my_objects: Vec<u64> = (0..OBJECTS)
@@ -62,9 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .collect();
             let mut model: HashMap<u64, u32> = HashMap::new();
             for _ in 0..OPS_PER_CLIENT {
-                let object = my_objects[rng.gen_range(0..my_objects.len())];
+                let object = my_objects[rng.below(my_objects.len() as u64) as usize];
                 let stripe = StripeId(object);
-                if rng.gen::<f64>() < 0.95 {
+                if rng.chance(95, 100) {
                     // Read and verify against the model.
                     match client.read_stripe(stripe).expect("read") {
                         OpResult::Stripe(StripeValue::Nil) => {

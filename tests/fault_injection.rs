@@ -301,3 +301,40 @@ fn weak_progress_after_contention() {
     }
     assert_eq!(successes, 5, "a lone coordinator must not keep aborting");
 }
+
+/// ROADMAP item 1's history, built by hand so no delay stream can hide it
+/// (n = 4, m = 2, so f = 1 and every quorum has 3 bricks). Each step leaves
+/// exactly one quorum reachable: brick 2 is down while the write completes
+/// on {0,1,3}; brick 1's disk is replaced and nothing rebuilds it; brick 2
+/// returns, stale but legitimate; a partition then leaves brick 3 only the
+/// quorum {1,2,3}, in which it alone still holds the value. A completed
+/// write must still be read back. Today the read sees one block < m, takes
+/// the write for a partial one and rolls back to nil: the wiped brick
+/// answered as a full member with an empty log.
+#[test]
+#[ignore = "ROADMAP item 1: a wiped brick votes before it is rebuilt"]
+fn completed_write_survives_a_wiped_brick_in_the_read_quorum() {
+    let cfg = RegisterConfig::new(2, 4, 16).unwrap();
+    let mut c = SimCluster::new(cfg, SimConfig::ideal(1));
+    let s = StripeId(0);
+    let data = blocks(2, 0x40, 16);
+
+    let t = c.sim().now();
+    c.sim_mut().schedule_crash(t, pid(2));
+    c.sim_mut().run_until(t + 1);
+    assert_eq!(c.write_stripe(pid(0), s, data.clone()), OpResult::Written);
+    c.sim_mut().run_until_idle();
+
+    c.wipe(pid(1));
+    let t = c.sim().now();
+    c.sim_mut().schedule_recovery(t, pid(2));
+    c.sim_mut()
+        .schedule_partition(t, &[&[pid(0)], &[pid(1), pid(2), pid(3)]]);
+    c.sim_mut().run_until(t + 1);
+
+    assert_eq!(
+        c.read_stripe(pid(3), s),
+        OpResult::Stripe(StripeValue::Data(data)),
+        "brick 3 read through quorum {{1,2,3}}; brick 1 was wiped after acknowledging the write"
+    );
+}

@@ -56,39 +56,49 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Where the registry crates resolve, plain cargo; where they do not, the same
+# commands through tools/offline.sh's stand-ins. Observed, not an option.
+# (`cargo xtask` and benchmark/ are dependency-free workspaces of their own
+# and need neither.)
+if cargo metadata --offline --format-version 1 > /dev/null 2>&1; then
+    CARGO=cargo
+else
+    CARGO=tools/offline.sh
+fi
+
 run() {
     echo
     echo "==> $*"
     "$@"
 }
 
-run cargo build --release
-run cargo test -q
-run cargo bench --no-run
+run $CARGO build --release
+run $CARGO test -q
+run $CARGO bench --no-run
 run cargo xtask analyze
 run cargo xtask loc
-run cargo clippy --workspace --all-targets -- -D warnings
+run $CARGO clippy --workspace --all-targets -- -D warnings
 
 # Stage 6: the multi-process-shaped integration test is `#[ignore]`d so plain
 # `cargo test` stays fast; run it here as its own stage under a hard timeout
 # (a deadlocked transport must fail CI, not hang it).
-run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
+run timeout 300 $CARGO test -q -p fab-net --test loopback -- --ignored \
     five_brick_cluster_survives_kill_and_restart
-run timeout 300 cargo test -q -p fab-net --test conformance -- --include-ignored
+run timeout 300 $CARGO test -q -p fab-net --test conformance -- --include-ignored
 
 # Stage 7: bounded torture campaigns. A fixed seed base keeps the gate
 # reproducible; --check-determinism runs every seed twice and compares
 # stats + violation kinds. The socket differential test is also `#[ignore]`d
 # (it binds TCP listeners), so it runs here under its own timeout.
-run cargo xtask torture --runs 500 --seed-base fixed --check-determinism \
-    --bench-out target/BENCH_torture_ci.json
-run timeout 300 cargo test -q -p fab-torture --lib differential -- --ignored
+run $CARGO run --release -q -p fab-torture -- \
+    --runs 500 --seed-base fixed --check-determinism
+run timeout 300 $CARGO test -q -p fab-torture --lib differential -- --ignored
 
 # Stage 8: observability overhead gate. Bounded metrics-off / metrics-on
 # durable-write runs over real loopback TCP; fails if the fab-obs registries
 # cost more than 10% of throughput (three attempts). Numbers come from the
 # repository benchmark (stage 12, benchmark/README.md), not from here.
-run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
+run timeout 300 $CARGO test -q -p fab-net --test loopback -- --ignored \
     metrics_cost_under_ten_percent_of_write_rate
 
 # Stage 9: exhaustive model checking of the concurrency kernels. --cfg loom
@@ -97,16 +107,16 @@ run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
 # thrashing the main cache. The suites are exhaustive DFS over schedules, so
 # a hang means state-space blowup — the hard timeout fails CI instead.
 run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    cargo test -q -p fab-store --test loom
+    $CARGO test -q -p fab-store --test loom
 run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    cargo test -q -p fab-net --test loom
+    $CARGO test -q -p fab-net --test loom
 
 # Stage 10: decentralized rebuild, end to end. The loopback test replaces a
 # brick's disk and proves the admin-driven repair restores every stripe —
 # including a node-0 crash mid-repair with the rebuild resuming from its
 # durable cursor — and asserts the throttle actually engaged and both
 # foreground clients kept completing operations (p99 < 5 s) meanwhile.
-run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
+run timeout 300 $CARGO test -q -p fab-net --test loopback -- --ignored \
     five_brick_kill_wipe_repair_rebuilds
 
 # Stage 11: observability. The fab-obs unit suite covers the instruments and
@@ -114,10 +124,10 @@ run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
 # (two halves in one word must never tear); the loopback e2e drives a real
 # n=5/m=3 cluster through a kill/restart and asserts the metrics visible in
 # AdminOp::StatsSnapshot replies reconcile with what the client observed.
-run timeout 300 cargo test -q -p fab-obs --lib
+run timeout 300 $CARGO test -q -p fab-obs --lib
 run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    cargo test -q -p fab-obs --test loom
-run timeout 300 cargo test -q -p fab-net --test loopback -- --ignored \
+    $CARGO test -q -p fab-obs --test loom
+run timeout 300 $CARGO test -q -p fab-net --test loopback -- --ignored \
     five_brick_stats_snapshot_reconciles_over_loopback
 
 # Stage 12: the repository benchmark (BENCHMARK.json) builds from its own

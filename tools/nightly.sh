@@ -24,13 +24,21 @@
 #                               is installed
 #
 # Failing seeds are auto-minimized and written to target/torture/*.seed;
-# replay one with `cargo xtask torture --replay <file>` (see TESTING.md).
+# replay one with `cargo run -p fab-torture -- --replay <file>` (see TESTING.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUNS="${RUNS:-50000}"
 SEED_BASE="${SEED_BASE:-fixed}"
 DIFF_RUNS="${DIFF_RUNS:-20}"
+
+# Plain cargo where the registry crates resolve, tools/offline.sh's stand-ins
+# where they do not (the probe tools/ci.sh uses).
+if cargo metadata --offline --format-version 1 > /dev/null 2>&1; then
+    CARGO=cargo
+else
+    CARGO=tools/offline.sh
+fi
 
 run() {
     echo
@@ -40,16 +48,24 @@ run() {
 
 # Phase 1+2: the big sweep, with the socket differential piggybacked on the
 # first DIFF_RUNS plans.
-run cargo xtask torture \
+run $CARGO run --release -q -p fab-torture -- \
     --runs "$RUNS" \
     --seed-base "$SEED_BASE" \
     --check-determinism \
-    --differential "$DIFF_RUNS" \
-    --bench-out BENCH_torture.json
+    --differential "$DIFF_RUNS"
 
-# Phase 3: planted-bug detection. Builds in target/mutation so the pristine
-# cache from phase 1 survives.
-run cargo xtask torture --mutation-smoke
+# Phase 3: planted-bug detection. The variants are the `check-cfg` values in
+# the workspace Cargo.toml and the `#[cfg(fab_mutation = ...)]` gates in
+# crates/core/src/replica.rs; `--expect-violation` exits non-zero when 500
+# seeds all run clean. Builds in target/mutation so the pristine cache from
+# phase 1 survives.
+for variant in skip_ord_persist accept_stale_order skip_write_append read_ignores_ord; do
+    run env RUSTFLAGS="--cfg fab_mutation=\"$variant\"" CARGO_TARGET_DIR=target/mutation \
+        $CARGO run --release -q -p fab-torture -- \
+        --runs 500 --seed-base fixed --expect-violation \
+        --artifact-dir "target/mutation/torture-$variant" \
+        --bench-out "target/mutation/BENCH_torture_$variant.json"
+done
 
 # Phase 4: ThreadSanitizer over the two crates with real thread/fsync
 # concurrency. -Zsanitizer=thread needs a nightly toolchain and a

@@ -5,19 +5,19 @@
 #   tools/offline.sh test -q --workspace
 #   tools/offline.sh bench --no-run
 #
-# The three registry crates the workspace names (`bytes`, `rand`,
-# `crossbeam`) are patched to the API-compatible stand-ins the repository
-# benchmark already builds against (benchmark/stubs/*, read-only here). The
-# patch table lives in a generated file under target/, so no tracked file
-# changes and a machine with network access keeps using the real crates by
-# calling cargo directly.
+# The two registry crates the workspace names (`bytes`, `crossbeam`) are
+# patched to the API-compatible stand-ins the repository benchmark already
+# builds against (benchmark/stubs/*, read-only here). The patch table lives
+# in a generated file under target/, so no tracked file changes and a
+# machine with network access keeps using the real crates by calling cargo
+# directly.
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cfg="$root/target/offline.toml"
 mkdir -p "$root/target"
 {
     echo "[patch.crates-io]"
-    for c in bytes rand crossbeam; do
+    for c in bytes crossbeam; do
         echo "$c = { path = \"$root/benchmark/stubs/$c\" }"
     done
 } > "$cfg"

@@ -12,13 +12,6 @@
 //!   only that slice of the graph). `--json` emits deterministically-sorted
 //!   machine-readable diagnostics, suppressed ones included.
 //!
-//! * `torture [ARGS ...]` — build and run the `fab-torture` fault-campaign
-//!   binary (release profile) with ARGS forwarded verbatim; see
-//!   `fab-torture --help` for its flags. `torture --mutation-smoke` instead
-//!   rebuilds the workspace once per `fab_mutation` variant (in a separate
-//!   `target/mutation` dir so the normal cache survives) and asserts the
-//!   suite catches every planted protocol bug within 500 seeds.
-//!
 //! * `loc` — per-crate non-test line counts of `crates/*/src`, the figure
 //!   simplicity PRs quote before and after: lines before a file's first
 //!   top-level `#[cfg(test)]` that are neither blank nor comment-only
@@ -221,72 +214,6 @@ fn json_report(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// The planted protocol bugs `torture --mutation-smoke` must catch.
-/// Kept in sync with the `check-cfg` values in the workspace Cargo.toml
-/// and the `#[cfg(fab_mutation = ...)]` gates in `crates/core/src/replica.rs`.
-const MUTATIONS: &[&str] = &[
-    "skip_ord_persist",
-    "accept_stale_order",
-    "skip_write_append",
-    "read_ignores_ord",
-];
-
-/// Runs `cargo <args>` against the main workspace, inheriting stdio.
-fn cargo(root: &Path, args: &[&str], envs: &[(&str, &str)]) -> bool {
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.current_dir(root).args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    match cmd.status() {
-        Ok(s) => s.success(),
-        Err(e) => {
-            eprintln!("xtask torture: failed to spawn cargo: {e}");
-            false
-        }
-    }
-}
-
-fn torture(args: &[String]) -> ExitCode {
-    let root = workspace_root();
-
-    if args.iter().any(|a| a == "--mutation-smoke") {
-        // Mutated artifacts go to their own target dir so the pristine
-        // build cache (and any BENCH artifacts) stay untouched.
-        let target = root.join("target").join("mutation");
-        let target = target.to_string_lossy().into_owned();
-        for variant in MUTATIONS {
-            println!("== mutation smoke: {variant} ==");
-            let rustflags = format!("--cfg fab_mutation=\"{variant}\"");
-            let bench = format!("target/mutation/BENCH_torture_{variant}.json");
-            let artifacts = format!("target/mutation/torture-{variant}");
-            let ok = cargo(
-                &root,
-                &[
-                    "run", "--release", "-p", "fab-torture", "--",
-                    "--runs", "500", "--seed-base", "fixed", "--expect-violation",
-                    "--bench-out", &bench, "--artifact-dir", &artifacts,
-                ],
-                &[("RUSTFLAGS", &rustflags), ("CARGO_TARGET_DIR", &target)],
-            );
-            if !ok {
-                eprintln!("xtask torture: mutation '{variant}' was NOT caught within 500 seeds");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!("mutation smoke: all {} planted bugs caught", MUTATIONS.len());
-        return ExitCode::SUCCESS;
-    }
-
-    let mut forwarded: Vec<&str> = vec!["run", "--release", "-p", "fab-torture", "--"];
-    forwarded.extend(args.iter().map(String::as_str));
-    if cargo(&root, &forwarded, &[]) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// Non-test lines of one source file (see the module docs for the rule).
 fn non_test_lines(raw: &str) -> usize {
     let masked = lexer::mask(raw).text;
@@ -327,18 +254,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
-        Some("torture") => torture(&args[1..]),
         Some("loc") => loc(),
         _ => {
-            eprintln!("usage: cargo xtask <analyze|torture|loc> [ARGS ...]");
+            eprintln!("usage: cargo xtask <analyze|loc> [ARGS ...]");
             eprintln!();
             eprintln!("  analyze   run the protocol-aware static-analysis pass (L1-L9)");
             eprintln!("    --list    print the lint registry and exit");
             eprintln!("    --allows  audit every xtask-allow suppression and its reason");
             eprintln!("    --json    emit deterministically-sorted machine-readable diagnostics");
-            eprintln!("  torture   run seed-driven fault campaigns (fab-torture)");
-            eprintln!("    --mutation-smoke  prove the suite catches planted protocol bugs");
-            eprintln!("    (other flags are forwarded; see `cargo xtask torture -- --help`)");
             eprintln!("  loc       per-crate non-test line counts of crates/*/src");
             ExitCode::FAILURE
         }
