@@ -11,9 +11,9 @@
 //! | **`fab-net`** | TCP (`fab-wire` codec) | `fab_runtime::host`      | multi-process deployment |
 //!
 //! The two wall-clock substrates run one and the same durable event loop
-//! (`fab_runtime::host::Host`: log-before-send over the group-commit
-//! pipeline, fencing, recovery); this crate supplies its TCP `Transport`
-//! and the admin front end.
+//! (`fab_runtime::host::Host`: one group commit per turn, then the turn's
+//! replies; fencing, recovery); this crate supplies its TCP `Transport` and
+//! the admin front end.
 //!
 //! A [`BrickNode`] is one brick: an event-loop thread running the host
 //! (coordinator and replicas), an accept loop feeding per-connection reader

@@ -5,7 +5,7 @@
 //! threaded in-process runtime runs, monomorphised over this module's
 //! [`Transport`]: a peer send is encoded with `fab-wire` on the event loop
 //! and handed to a [`PeerSender`] writer thread (fair-loss, reconnect with
-//! backoff) once it may leave, a client's answer is a reply frame on its
+//! backoff), a client's answer is a reply frame on its
 //! connection, and incoming frames arrive from per-connection reader
 //! threads feeding one crossbeam channel. Admin frames (repair
 //! orchestration, `stats-snapshot`) are this front end's own business and
@@ -22,9 +22,9 @@ use crate::transport::{read_frame, BufferPool, PeerCounters, PeerSender, RecvErr
 use crossbeam::channel::{unbounded, Sender};
 use fab_core::{Coordinator, Envelope, OpResult, RegisterConfig};
 use fab_repair::{plan_brick_rebuild, plan_full_scrub, DriverConfig, InProcRepair};
-use fab_runtime::host::{self, Host, Transport, COMPACT_THRESHOLD};
+use fab_runtime::host::{self, Host, Transport};
 use fab_simnet::{Backoff, FaultPlan};
-use fab_store::{BrickStore, CommitPipeline, CommitStatsHandle, CommitStore};
+use fab_store::{BrickStore, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
 use fab_volume::{Layout, VolumeGeometry};
 use fab_wire::{
@@ -133,38 +133,6 @@ pub struct TransportMetrics {
 
 // --------------------------------------------------------- transport ------
 
-/// The outbound half of the peer fabric: writer threads, their counters,
-/// and the shared encode-buffer pool. `Arc`-shared between the event loop
-/// ([`Tcp`]) and the commit pipeline's deferred sends, which fire on the
-/// committer thread.
-#[derive(Debug)]
-struct PeerLinks {
-    peers: Vec<Option<PeerSender>>,
-    counters: Vec<Arc<PeerCounters>>,
-    pool: Arc<BufferPool>,
-}
-
-impl PeerLinks {
-    /// Hands one encoded frame to `to`'s writer thread (fair-loss).
-    fn send_frame(&self, to: ProcessId, frame: Vec<u8>) {
-        if let Some(Some(peer)) = self.peers.get(to.index()) {
-            peer.send(frame);
-        } else {
-            self.pool.put(frame);
-        }
-    }
-}
-
-/// A peer send captured on the event loop. The frame is encoded up front,
-/// so the committer thread only fires pre-built sends once the records
-/// backing them are durable.
-enum Outbound {
-    /// A self-send: loops back into the event loop unserialized.
-    Loopback(Sender<Event>, ProcessId, Envelope),
-    /// An already-encoded frame for a remote peer.
-    Frame(Arc<PeerLinks>, ProcessId, Vec<u8>),
-}
-
 /// Encodes one reply frame into a pooled buffer (the steady-state reply
 /// path allocates nothing) and writes it; errors are ignored — a vanished
 /// client or operator needs no answer.
@@ -213,7 +181,11 @@ impl Drop for RepairControl {
 struct Tcp {
     pid: ProcessId,
     cfg: Arc<RegisterConfig>,
-    links: Arc<PeerLinks>,
+    /// One writer thread per peer (`None` in this brick's own slot).
+    peers: Vec<Option<PeerSender>>,
+    counters: Vec<Arc<PeerCounters>>,
+    /// Encode buffers, shared with the writer threads that return them.
+    pool: Arc<BufferPool>,
     self_tx: Sender<Event>,
     client_counters: Arc<PeerCounters>,
     repair: RepairControl,
@@ -223,37 +195,29 @@ struct Tcp {
 }
 
 impl Transport for Tcp {
-    type Send = Outbound;
     /// The request's correlation id and the connection it arrived on.
     type ReplyTo = (u64, ClientWriter);
     type Control = Admin;
 
-    fn prepare(&mut self, to: ProcessId, env: Envelope) -> Option<Outbound> {
+    fn send(&mut self, to: ProcessId, env: Envelope) {
         if to == self.pid {
-            return Some(Outbound::Loopback(self.self_tx.clone(), self.pid, env));
-        }
-        let mut frame = self.links.pool.take();
-        encode_peer_message_into(self.pid, &env, &mut frame);
-        Some(Outbound::Frame(self.links.clone(), to, frame))
-    }
-
-    fn fire(send: Outbound) {
-        match send {
-            Outbound::Loopback(tx, from, env) => {
-                let _ = tx.send(Event::Net { from, env });
-            }
-            Outbound::Frame(links, to, frame) => links.send_frame(to, frame),
+            // A self-send loops back into the event loop unserialized.
+            let _ = self.self_tx.send(Event::Net { from: self.pid, env });
+        } else if let Some(Some(peer)) = self.peers.get(to.index()) {
+            let mut frame = self.pool.take();
+            encode_peer_message_into(self.pid, &env, &mut frame);
+            peer.send(frame);
         }
     }
 
     fn dropped(&mut self, to: ProcessId) {
-        if let Some(c) = self.links.counters.get(to.index()) {
+        if let Some(c) = self.counters.get(to.index()) {
             c.record_drop();
         }
     }
 
     fn reply(&mut self, (id, writer): Self::ReplyTo, result: Result<OpResult, ClientError>) {
-        send_reply(&writer, &self.client_counters, &self.links.pool, |frame| {
+        send_reply(&writer, &self.client_counters, &self.pool, |frame| {
             encode_client_reply_into(id, &result, frame);
         });
     }
@@ -267,7 +231,7 @@ impl Transport for Tcp {
         } else {
             self.handle_admin(&op)
         };
-        send_reply(&writer, &self.client_counters, &self.links.pool, |frame| {
+        send_reply(&writer, &self.client_counters, &self.pool, |frame| {
             encode_admin_reply_into(id, &result, frame);
         });
     }
@@ -400,7 +364,7 @@ impl Tcp {
         // Transport: per-peer counters summed into one node-level view.
         let mut peers = crate::transport::CounterSnapshot::default();
         let mut max_frames_per_write = 0u64;
-        for c in &self.links.counters {
+        for c in &self.counters {
             let s = c.snapshot();
             peers.frames_sent += s.frames_sent;
             peers.bytes_sent += s.bytes_sent;
@@ -428,7 +392,7 @@ impl Tcp {
         counter(&mut counters, "net_client_frames_recv", clients.frames_recv);
         counter(&mut counters, "net_client_bytes_sent", clients.bytes_sent);
         counter(&mut counters, "net_client_bytes_recv", clients.bytes_recv);
-        let (hits, misses) = self.links.pool.stats();
+        let (hits, misses) = self.pool.stats();
         counter(&mut counters, "net_pool_hits", hits);
         counter(&mut counters, "net_pool_misses", misses);
         counter(&mut gauges, "net_inbox_depth", self.self_tx.len() as u64);
@@ -679,8 +643,8 @@ impl BrickNode {
         let register = host::wall_clock_config(register);
         let addr = listener.local_addr()?;
 
-        // One construction path: the registry always exists and the commit
-        // pipeline's `store_*` instruments always live in it. Metrics off
+        // One construction path: the registry always exists and the
+        // `store_*` commit instruments always live in it. Metrics off
         // means nobody is handed it — `obs_registry()` is `None`, the
         // coordinator gets no `OpMetrics`, `stats-snapshot` exports an
         // empty registry.
@@ -689,10 +653,12 @@ impl BrickNode {
         let cursor_path = store_dir
             .as_ref()
             .map(|dir| dir.join(format!("repair-{}.cursor", node.value())));
-        let store = store_dir.as_deref().map(|dir| open(dir, node)).transpose()?;
-        let pipeline =
-            store.map(|store| CommitPipeline::spawn(store, COMPACT_THRESHOLD, &registry));
-        let commit_stats = pipeline.as_ref().map(CommitPipeline::stats_handle);
+        let store = store_dir
+            .as_deref()
+            .map(|dir| open(dir, node))
+            .transpose()?
+            .map(|store| (store, CommitStatsHandle::registered(&registry)));
+        let commit_stats = store.as_ref().map(|(_, stats)| stats.clone());
 
         let (tx, inbox) = unbounded();
         let faults = Arc::new(FaultPlan::new());
@@ -718,11 +684,6 @@ impl BrickNode {
                 }
             })
             .collect();
-        let links = Arc::new(PeerLinks {
-            peers,
-            counters: counters.clone(),
-            pool,
-        });
 
         let mut coordinator = Coordinator::new(node, register.clone());
         if let Some(reg) = &obs {
@@ -731,7 +692,9 @@ impl BrickNode {
         let transport = Tcp {
             pid: node,
             cfg: register.clone(),
-            links,
+            peers,
+            counters: counters.clone(),
+            pool,
             self_tx: tx.clone(),
             client_counters: client_counters.clone(),
             repair: RepairControl {
@@ -746,7 +709,7 @@ impl BrickNode {
             coordinator,
             transport,
             inbox,
-            pipeline,
+            store,
             faults.clone(),
             Instant::now(),
             0x0fab ^ u64::from(node.value()),
@@ -970,7 +933,7 @@ mod tests {
 
     host_conformance::suite!(TcpCluster);
 
-    /// Metrics off is "don't export": the pipeline still counts (the typed
+    /// Metrics off is "don't export": the commits are still counted (the typed
     /// `metrics()` view reads it), but the node hands out no registry and
     /// its `stats-snapshot` carries no `op_*` / `store_*` entry.
     #[test]

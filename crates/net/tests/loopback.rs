@@ -792,7 +792,7 @@ fn five_brick_stats_snapshot_reconciles_over_loopback() {
     );
     assert!(
         summed(&reports, "store_syncs") > 0,
-        "group-commit pipelines surface fsync counts through the registry"
+        "group commits surface fsync counts through the registry"
     );
 
     // Phase 2: kill a brick, advance the data past it, bring it back. The

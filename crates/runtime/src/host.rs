@@ -7,34 +7,41 @@
 //! the only place outside the simulator that implements its host side:
 //!
 //! * **Effects.** The host supplies deadline timers, a monotonic microsecond
-//!   clock and the per-brick RNG; `send` pre-decides fault-injection drops
-//!   on the event loop (so the RNG stays single-threaded) and hands the
-//!   survivor to the [`Transport`].
-//! * **Log-before-send.** A replica reply — even one with no new persist
-//!   events, since it still acknowledges state whose records may be queued
-//!   — rides [`CommitPipeline::submit`] and is fired from the committer
-//!   thread strictly after the covering sync. Volatile bricks (no
-//!   pipeline) fire at once.
-//! * **Fail-stop.** A fenced pipeline fences the brick: it goes silent to
-//!   peers and refuses clients with [`ClientError::Unavailable`], which is
-//!   indistinguishable from a crash — the fault the protocol tolerates.
+//!   clock and the per-brick RNG; `send` draws the fault-injection verdict
+//!   and hands the survivor to the [`Transport`].
+//! * **Log-before-send, by statement order.** One *turn* of [`Host::run`]
+//!   blocks for one event, then takes whatever else has queued (at most
+//!   [`MAX_BATCH_RECORDS`] events). Each replica request leaves its persist
+//!   events on the turn and its reply behind them; the turn ends with
+//!   **one** [`CommitStatsHandle::commit`] — one write, one sync — and only
+//!   then are those replies sent, in order. Requests that queued while one
+//!   sync ran share the next: that is group commit, on the one thread the
+//!   brick has. What carries no unsynced state does not wait: coordinator
+//!   requests, client completions, and the reply of a stripe with no
+//!   record on the turn. A volatile brick (no store) takes the same path
+//!   minus the sync.
+//! * **Fail-stop.** A failed commit fences the brick for good: nothing of
+//!   the turn is sent, it goes silent to peers and refuses clients with
+//!   [`ClientError::Unavailable`], which is indistinguishable from a crash
+//!   — the fault the protocol tolerates.
 //! * **Recovery.** Startup and emulated recovery rebuild the replica map
-//!   from [`CommitPipeline::states`] and advance the coordinator clock
-//!   past every recovered timestamp.
+//!   from [`CommitStore::states`] and advance the coordinator clock past
+//!   every recovered timestamp.
 //!
-//! What differs between substrates is confined to [`Transport`]: how a
-//! peer send is captured on the event loop and fired later, and where a
-//! client's answer goes. `fab-runtime`'s crossbeam channels and
-//! `fab-net`'s TCP frames are the two implementations; the host is
-//! monomorphised over each, so neither pays for the other.
+//! What differs between substrates is confined to [`Transport`]: how an
+//! envelope reaches a peer and where a client's answer goes. `fab-runtime`'s
+//! crossbeam channels and `fab-net`'s TCP frames are the two
+//! implementations; the host is monomorphised over each, so neither pays
+//! for the other.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use fab_core::{
     ClientError, ClientOp, Completion, Coordinator, Effects, Envelope, OpResult, Payload,
-    RegisterConfig, Replica, StripeId,
+    PersistEvent, RegisterConfig, Replica, StripeId,
 };
 use fab_simnet::{FaultPlan, Rng64};
-use fab_store::{BrickStore, CommitPipeline, CommitStore};
+use fab_store::commit::MAX_BATCH_RECORDS;
+use fab_store::{BrickStore, CommitStatsHandle, CommitStore};
 use fab_timestamp::{ProcessId, Timestamp};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -63,22 +70,16 @@ pub fn wall_clock_config(mut cfg: RegisterConfig) -> Arc<RegisterConfig> {
 /// What a substrate supplies to the [`Host`]: the two things that
 /// genuinely differ between in-process channels and TCP.
 pub trait Transport: Send + 'static {
-    /// A peer send captured on the event loop — channel cloned or frame
-    /// encoded — that can be fired later from the committer thread.
-    type Send: Send + 'static;
     /// Where one client's answer goes.
     type ReplyTo: Send + 'static;
     /// Front-end events the host carries but does not interpret
     /// (`fab-net`'s admin frames; uninhabited for channels).
     type Control: Send + 'static;
 
-    /// Captures everything needed to deliver `env` to `to` later. Runs on
-    /// the event loop, after fault injection let the send through. `None`
-    /// if `to` is not a brick of this cluster.
-    fn prepare(&mut self, to: ProcessId, env: Envelope) -> Option<Self::Send>;
-
-    /// Delivers a prepared send (fair-loss: failures are silent).
-    fn fire(send: Self::Send);
+    /// Delivers `env` to brick `to`, after fault injection let the send
+    /// through (fair-loss: failures, and a `to` outside this cluster, are
+    /// silent).
+    fn send(&mut self, to: ProcessId, env: Envelope);
 
     /// Fault injection dropped a send to `to` (transports that count
     /// drops override this).
@@ -115,7 +116,8 @@ pub enum Event<T: Transport> {
     /// reloads them from the log on `Recover`); a volatile brick keeps
     /// them, as NVRAM would.
     Crash,
-    /// Emulate recovery from [`Event::Crash`].
+    /// Emulate recovery from [`Event::Crash`]. Nothing else is recovered
+    /// from: a brick fenced by a failed commit stays down.
     Recover,
     /// Stop the event loop, refusing clients still waiting.
     Shutdown,
@@ -167,23 +169,23 @@ impl<T: Transport> Io<T> {
         due
     }
 
-    /// Decides the fate of a send now (fault injection consumes RNG on the
-    /// event loop, keeping it deterministic per brick) and captures what
-    /// is needed to deliver it later. `None` means the fair-loss channel
+    /// Fault injection's verdict on one send to `to`, drawn when the send
+    /// is decided (not when it leaves), so the per-brick RNG stream does
+    /// not depend on how turns fall. `false`: the fair-loss channel
     /// dropped it.
-    fn defer_send(&mut self, to: ProcessId, env: Envelope) -> Option<T::Send> {
-        if to != self.pid && self.faults.should_drop(self.rng.below(1_000_000)) {
+    fn admits(&mut self, to: ProcessId) -> bool {
+        let drop = to != self.pid && self.faults.should_drop(self.rng.below(1_000_000));
+        if drop {
             self.transport.dropped(to);
-            return None;
         }
-        self.transport.prepare(to, env)
+        !drop
     }
 }
 
 impl<T: Transport> Effects for Io<T> {
     fn send(&mut self, to: ProcessId, env: Envelope) {
-        if let Some(send) = self.defer_send(to, env) {
-            T::fire(send);
+        if self.admits(to) {
+            self.transport.send(to, env);
         }
     }
 
@@ -204,6 +206,16 @@ impl<T: Transport> Effects for Io<T> {
     }
 }
 
+/// Whether the brick takes part. Only a crash can be recovered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Up,
+    /// Emulating a crash until [`Event::Recover`].
+    Crashed,
+    /// A commit failed: down for good.
+    Fenced,
+}
+
 /// One brick's event-loop state. Build it with [`Host::new`], then move it
 /// to its own thread and call [`Host::run`].
 pub struct Host<T: Transport, S: CommitStore = BrickStore> {
@@ -214,26 +226,30 @@ pub struct Host<T: Transport, S: CommitStore = BrickStore> {
     inbox: Receiver<Event<T>>,
     /// Clients awaiting a completion, by coordinator operation id.
     waiting: HashMap<u64, T::ReplyTo>,
-    /// Durable backing (the paper's `store(var)`); `None` = a volatile
-    /// brick whose replica state lives in memory only.
-    pipeline: Option<CommitPipeline<S>>,
-    /// Fenced or emulating a crash: silent to peers, refusing clients.
-    down: bool,
+    /// Durable backing (the paper's `store(var)`) and the instruments its
+    /// commits are counted in; `None` = a volatile brick whose replica
+    /// state lives in memory only.
+    store: Option<(S, CommitStatsHandle)>,
+    /// This turn's persist events, not yet synced...
+    records: Vec<(StripeId, PersistEvent)>,
+    /// ...and the replica replies that may leave only once they are.
+    replies: Vec<(ProcessId, Envelope)>,
+    status: Status,
 }
 
 impl<T: Transport, S: CommitStore> std::fmt::Debug for Host<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("pid", &self.io.pid)
-            .field("durable", &self.pipeline.is_some())
-            .field("down", &self.down)
+            .field("durable", &self.store.is_some())
+            .field("status", &self.status)
             .finish_non_exhaustive()
     }
 }
 
 impl<T: Transport, S: CommitStore> Host<T, S> {
     /// Assembles brick `coordinator.pid()`'s host and recovers its replica
-    /// state from `pipeline` (if any). `cfg` should come from
+    /// state from `store` (if any). `cfg` should come from
     /// [`wall_clock_config`]; `epoch` is the zero of the `newTS` clock
     /// hint, and `seed` feeds the brick's RNG (fault injection and
     /// protocol randomness).
@@ -243,7 +259,7 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
         coordinator: Coordinator,
         transport: T,
         inbox: Receiver<Event<T>>,
-        pipeline: Option<CommitPipeline<S>>,
+        store: Option<(S, CommitStatsHandle)>,
         faults: Arc<FaultPlan>,
         epoch: Instant,
         seed: u64,
@@ -263,8 +279,10 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
             coordinator,
             inbox,
             waiting: HashMap::new(),
-            pipeline,
-            down: false,
+            store,
+            records: Vec::new(),
+            replies: Vec::new(),
+            status: Status::Up,
         };
         host.load_from_store();
         host
@@ -274,7 +292,7 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
     /// of the inbox is gone.
     pub fn run(mut self) {
         loop {
-            let event = match self.io.next_deadline() {
+            let mut next = match self.io.next_deadline() {
                 Some(deadline) => {
                     let timeout = deadline.saturating_duration_since(Instant::now());
                     match self.inbox.recv_timeout(timeout) {
@@ -288,57 +306,92 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
                     Err(_) => return,
                 },
             };
-            // A fenced commit pipeline means some batch failed to reach
-            // disk and nothing later ever will: stop participating before
-            // touching another event.
-            if !self.down
-                && self
-                    .pipeline
-                    .as_ref()
-                    .is_some_and(CommitPipeline::is_fenced)
-            {
-                self.fence();
-            }
-            match event {
-                Some(Event::Shutdown) => {
-                    self.refuse_waiting();
-                    return;
-                }
-                Some(Event::Crash) => {
-                    self.down = true;
-                    self.coordinator.on_crash();
-                    self.refuse_waiting();
-                    if self.pipeline.is_some() {
-                        // A durable brick loses its memory entirely;
-                        // recovery reloads from the on-disk log.
-                        self.replicas.clear();
-                    } else {
-                        for r in self.replicas.values_mut() {
-                            r.on_crash();
+            // One turn: that event and whatever else has queued, up to the
+            // bound that lets timers and completions run under any load.
+            let (mut taken, mut stop) = (0, false);
+            while let Some(event) = next {
+                let up = self.status == Status::Up;
+                match event {
+                    Event::Shutdown => {
+                        stop = true;
+                        break;
+                    }
+                    Event::Crash if up => {
+                        self.go_down(Status::Crashed);
+                        if self.store.is_some() {
+                            // A durable brick loses its memory entirely;
+                            // recovery reloads from the on-disk log.
+                            self.replicas.clear();
+                        } else {
+                            for r in self.replicas.values_mut() {
+                                r.on_crash();
+                            }
                         }
                     }
+                    Event::Recover if self.status == Status::Crashed => {
+                        self.status = Status::Up;
+                        self.load_from_store();
+                    }
+                    // Already down, or nothing to recover from: a fenced
+                    // brick stays fenced.
+                    Event::Crash | Event::Recover => {}
+                    Event::Control(event) => self.io.transport.control(event, !up),
+                    Event::Net { .. } if !up => {} // a dead brick is silent
+                    Event::Client { reply, .. } if !up => {
+                        self.io
+                            .transport
+                            .reply(reply, Err(ClientError::Unavailable));
+                    }
+                    Event::Net { from, env } => self.on_net(from, &env),
+                    Event::Client { op, reply } => self.on_client(op, reply),
                 }
-                Some(Event::Recover) => {
-                    self.down = false;
-                    self.load_from_store();
-                }
-                Some(Event::Control(event)) => self.io.transport.control(event, self.down),
-                Some(Event::Net { .. }) if self.down => {} // a dead brick is silent
-                Some(Event::Client { reply, .. }) if self.down => {
-                    self.io
-                        .transport
-                        .reply(reply, Err(ClientError::Unavailable));
-                }
-                Some(Event::Net { from, env }) => self.on_net(from, &env),
-                Some(Event::Client { op, reply }) => self.on_client(op, reply),
-                None => {}
+                taken += 1;
+                next = if taken < MAX_BATCH_RECORDS {
+                    self.inbox.try_recv().ok()
+                } else {
+                    None
+                };
             }
-            if !self.down {
+            if self.status == Status::Up {
                 for id in self.io.due_timers() {
                     self.coordinator.on_timer(&mut self.io, id);
                 }
             }
+            // Before the sync, not after: a completion rests on replies
+            // other bricks had already synced for, never on this turn's
+            // records (this brick's own reply only leaves below).
             self.deliver_completions();
+            self.commit_turn();
+            if stop {
+                self.refuse_waiting();
+                return;
+            }
+        }
+    }
+
+    /// Ends a turn: one group commit of the turn's records, then — and only
+    /// then — the replies they back, in order. The one place the event
+    /// loop waits on the disk.
+    fn commit_turn(&mut self) {
+        let Some((store, stats)) = &mut self.store else {
+            return;
+        };
+        if self.records.is_empty() {
+            return; // and no reply was held back either
+        }
+        if stats.commit(store, &self.records).is_err() {
+            // Never ack state that did not reach disk.
+            return self.fence();
+        }
+        self.records.clear();
+        for (to, env) in self.replies.drain(..) {
+            self.io.transport.send(to, env);
+        }
+        // After the replies have left: a compaction rewrites all live
+        // state. If it fails the batch above is durable all the same, but
+        // nothing later would be.
+        if store.maybe_compact(COMPACT_THRESHOLD).is_err() {
+            self.fence();
         }
     }
 
@@ -352,14 +405,24 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
         }
     }
 
+    /// Stops taking part: the operations this brick coordinates and the
+    /// turn it has not synced are lost, as in a crash, and the clients
+    /// still waiting are told so.
+    fn go_down(&mut self, status: Status) {
+        self.status = status;
+        self.coordinator.on_crash();
+        self.refuse_waiting();
+        self.records.clear();
+        self.replies.clear();
+    }
+
     /// Fail-stops the brick after a durable-store failure.
     fn fence(&mut self) {
         eprintln!(
-            "fab-brick[{}]: commit pipeline fenced; fencing brick",
+            "fab-brick[{}]: commit failed; fencing brick",
             self.io.pid.value()
         );
-        self.down = true;
-        self.refuse_waiting();
+        self.go_down(Status::Fenced);
     }
 
     /// Rebuilds the replica map from the durable store (startup and
@@ -367,15 +430,12 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
     /// recovered timestamp so post-restart operations order after
     /// pre-crash ones without conflict storms.
     fn load_from_store(&mut self) {
-        let Some(pipeline) = &self.pipeline else {
+        let Some((store, _)) = &self.store else {
             return;
         };
         let (pid, cfg) = (self.io.pid, &self.cfg);
         let mut newest = Timestamp::LOW;
-        // `states()` is a FIFO barrier on the committer: every append
-        // submitted before this call is reflected in the snapshot.
-        self.replicas = pipeline
-            // xtask-allow(no-blocking-on-event-loop): recovery runs before the brick serves traffic; the barrier on the committer is the point of load_from_store
+        self.replicas = store
             .states()
             .into_iter()
             .map(|(stripe, st)| {
@@ -395,7 +455,7 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
         };
         let (stripe, round) = (env.stripe, env.round);
         let (pid, cfg) = (self.io.pid, &self.cfg);
-        let durable = self.pipeline.is_some();
+        let durable = self.store.is_some();
         let replica = self.replicas.entry(stripe).or_insert_with(|| {
             let mut r = Replica::new(pid, cfg.clone());
             if durable {
@@ -404,45 +464,24 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
             r
         });
         let reply = replica.handle(req);
-        let records: Vec<_> = if durable {
-            replica
-                .take_persist_events()
-                .into_iter()
-                .map(|event| (stripe, event))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let send = reply.and_then(|reply| {
-            let kind = Payload::Reply(reply);
-            let env = Envelope { stripe, round, kind };
-            self.io.defer_send(from, env)
-        });
-        match &self.pipeline {
-            // Log-before-send: the reply leaves only after the sync
-            // covering this request's records. A reply with no records of
-            // its own still rides the pipeline as an empty barrier — it
-            // may reference state whose records are queued but not yet
-            // synced. Group commit coalesces concurrent requests into one
-            // write + one sync on the committer thread.
-            Some(pipeline) => {
-                if records.is_empty() && send.is_none() {
-                    return; // nothing to persist, nothing to ack
-                }
-                pipeline.submit(records, move |is_durable| {
-                    // !is_durable: the pipeline fenced. Never ack state
-                    // that did not reach disk; the event loop notices and
-                    // fences the whole brick.
-                    if is_durable {
-                        if let Some(send) = send {
-                            T::fire(send);
-                        }
-                    }
-                });
-            }
-            None => {
-                if let Some(send) = send {
-                    T::fire(send);
+        if durable {
+            let events = replica.take_persist_events();
+            self.records
+                .extend(events.into_iter().map(|event| (stripe, event)));
+        }
+        if let Some(reply) = reply {
+            if self.io.admits(from) {
+                let kind = Payload::Reply(reply);
+                let env = Envelope { stripe, round, kind };
+                // Every earlier turn ended in its sync, so a stripe with
+                // no record on this turn has nothing unsynced to
+                // acknowledge: its reply (a read's, typically) leaves now.
+                // Any other waits for the end of the turn, even with no
+                // records of its own.
+                if self.records.iter().any(|(s, _)| *s == stripe) {
+                    self.replies.push((from, env));
+                } else {
+                    self.io.transport.send(from, env);
                 }
             }
         }

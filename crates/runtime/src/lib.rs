@@ -11,9 +11,10 @@
 //! sans-io design: asynchrony bugs are hunted deterministically, then the
 //! same state machines are deployed on threads.
 //!
-//! [`host`] is that deployment: one event loop with log-before-send over a
-//! group-commit pipeline, fail-stop fencing, recovery from the log, and
-//! emulated crash/recover, generic over a small [`host::Transport`]. This
+//! [`host`] is that deployment: one event loop that syncs a turn's records
+//! and then sends its replies (group commit, log-before-send), fail-stop
+//! fencing, recovery from the log, and emulated crash/recover, generic over
+//! a small [`host::Transport`]. This
 //! crate supplies the crossbeam-channel transport; `fab-net` supplies the
 //! TCP one and runs the very same host.
 //!
@@ -38,9 +39,9 @@ use fab_core::{
     StripeId,
 };
 use fab_simnet::FaultPlan;
-use fab_store::{BrickStore, CommitPipeline, CommitStats, CommitStatsHandle, CommitStore};
+use fab_store::{BrickStore, CommitStats, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
-use host::{Host, Transport, COMPACT_THRESHOLD};
+use host::{Host, Transport};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -49,27 +50,22 @@ use std::time::{Duration, Instant};
 
 type Event = host::Event<Channels>;
 
-/// The crossbeam-channel [`Transport`]: a peer send is the target brick's
-/// inbox plus the envelope, and a client's answer goes down a capacity-1
-/// channel the client is parked on.
+/// The crossbeam-channel [`Transport`]: a peer send goes into the target
+/// brick's inbox, and a client's answer goes down a capacity-1 channel the
+/// client is parked on.
 struct Channels {
     pid: ProcessId,
     peers: Vec<Sender<Event>>,
 }
 
 impl Transport for Channels {
-    type Send = (Sender<Event>, ProcessId, Envelope);
     type ReplyTo = Sender<Result<OpResult, ClientError>>;
     type Control = Infallible;
 
-    fn prepare(&mut self, to: ProcessId, env: Envelope) -> Option<Self::Send> {
-        self.peers
-            .get(to.index())
-            .map(|tx| (tx.clone(), self.pid, env))
-    }
-
-    fn fire((tx, from, env): Self::Send) {
-        let _ = tx.send(Event::Net { from, env });
+    fn send(&mut self, to: ProcessId, env: Envelope) {
+        if let Some(tx) = self.peers.get(to.index()) {
+            let _ = tx.send(Event::Net { from: self.pid, env });
+        }
     }
 
     fn reply(&mut self, to: Self::ReplyTo, result: Result<OpResult, ClientError>) {
@@ -107,12 +103,11 @@ pub struct RuntimeCluster {
     cfg: Arc<RegisterConfig>,
     faults: Arc<FaultPlan>,
     next_coordinator: AtomicU32,
-    /// Per-brick commit-pipeline observers (empty slots for volatile
-    /// clusters).
+    /// Per-brick commit instruments (empty slots for volatile clusters).
     commit_stats: Vec<Option<CommitStatsHandle>>,
     /// Per-brick metrics registries: op-lifecycle instruments from the
-    /// coordinator plus (on durable clusters) the commit pipeline's
-    /// `store_*` instruments.
+    /// coordinator plus (on durable clusters) the `store_*` commit
+    /// instruments.
     obs: Vec<Arc<fab_obs::Registry>>,
 }
 
@@ -161,9 +156,8 @@ impl RuntimeCluster {
         for (i, (_, inbox)) in channels.into_iter().enumerate() {
             let pid = ProcessId::new(i as u32);
             let registry = Arc::new(fab_obs::Registry::new());
-            let pipeline =
-                store(i).map(|s| CommitPipeline::spawn(s, COMPACT_THRESHOLD, &registry));
-            commit_stats.push(pipeline.as_ref().map(CommitPipeline::stats_handle));
+            let store = store(i).map(|s| (s, CommitStatsHandle::registered(&registry)));
+            commit_stats.push(store.as_ref().map(|(_, stats)| stats.clone()));
             let mut coordinator = Coordinator::new(pid, cfg.clone());
             coordinator.set_metrics(fab_core::OpMetrics::register(&registry));
             obs.push(registry);
@@ -176,7 +170,7 @@ impl RuntimeCluster {
                 coordinator,
                 transport,
                 inbox,
-                pipeline,
+                store,
                 faults.clone(),
                 epoch,
                 0x5eed ^ i as u64,
@@ -200,8 +194,8 @@ impl RuntimeCluster {
     }
 
     /// Brick `pid`'s metrics registry: coordinator op-lifecycle
-    /// instruments (`op_*`) plus, on durable clusters, the commit
-    /// pipeline's `store_*` instruments. `None` if `pid` is out of range.
+    /// instruments (`op_*`) plus, on durable clusters, the `store_*` commit
+    /// instruments. `None` if `pid` is out of range.
     #[must_use]
     pub fn obs_registry(&self, pid: ProcessId) -> Option<Arc<fab_obs::Registry>> {
         self.obs.get(pid.index()).cloned()
@@ -537,6 +531,46 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// A turn is bounded: with brick 0's inbox never empty, its retransmit
+    /// timer still fires — nothing but a retransmission can reach a quorum
+    /// here — and its client still gets the completion.
+    #[test]
+    fn a_saturated_inbox_starves_neither_timers_nor_completions() {
+        use fab_store::commit::MAX_BATCH_RECORDS;
+        use std::sync::atomic::AtomicBool;
+
+        let cluster = RuntimeCluster::new(RegisterConfig::new(2, 4, 16).unwrap());
+        let inbox = &cluster.senders[0];
+        // Every transmission of the write is lost until the flood begins.
+        cluster.set_drop_probability(1.0);
+        let (reply, rx) = bounded(1);
+        let op = ClientOp::write_stripe(StripeId(0), blocks(2, 1, 16));
+        inbox.send(Event::Client { op, reply }).unwrap();
+        std::thread::sleep(3 * Duration::from_micros(cluster.cfg.retransmit_interval));
+        cluster.set_drop_probability(0.0);
+
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // Reads nobody waits for. Handling one puts five more events in
+            // this inbox (the brick's own request and four replies), so the
+            // producer outruns the loop however the two are scheduled.
+            s.spawn(|| {
+                let (reply, _) = bounded(1);
+                let op = ClientOp::read_stripe(StripeId(9));
+                while !done.load(Ordering::Relaxed) {
+                    if inbox.len() < 4 * MAX_BATCH_RECORDS {
+                        let (op, reply) = (op.clone(), reply.clone());
+                        let _ = inbox.send(Event::Client { op, reply });
+                    }
+                }
+            });
+            let answer = rx.recv_timeout(Duration::from_secs(10));
+            done.store(true, Ordering::Relaxed);
+            assert_eq!(answer, Ok(Ok(OpResult::Written)));
+        });
+        cluster.shutdown();
+    }
+
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("fab-runtime-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -624,8 +658,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Every acked write was preceded by a covering fsync; the pipeline
-        // never synced more often than it committed records.
+        // Every acked write was preceded by a covering fsync; no brick
+        // synced more often than it committed records.
         let mut total_committed = 0;
         for i in 0..4 {
             let stats = cluster.commit_stats(ProcessId::new(i)).unwrap();

@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A held sync lets go on its own after this long, so a failing test
-/// fails instead of deadlocking the committer thread it would join.
+/// fails instead of deadlocking the brick thread it would join.
 const HOLD_LIMIT: Duration = Duration::from_secs(20);
 /// Bound on every "this must eventually happen" wait.
 const EVENTUALLY: Duration = Duration::from_secs(10);
@@ -31,9 +31,11 @@ const GRACE: Duration = Duration::from_millis(200);
 struct CtlState {
     held: bool,
     failing: bool,
-    /// Syncs entered / completed (batches with at least one record).
+    /// Syncs entered / completed (batches with at least one record), and
+    /// the records the entered ones carried.
     entered: u64,
     synced: u64,
+    records: u64,
 }
 
 /// The test's handle on one brick's in-memory [`CommitStore`]: hold its
@@ -70,7 +72,7 @@ impl StoreCtl {
         assert!(!timeout.timed_out(), "store never {what}");
     }
 
-    /// The store behind this handle (moved onto the committer thread).
+    /// The store behind this handle (moved onto the brick's thread).
     pub(crate) fn store(&self) -> TestStore {
         TestStore {
             ctl: self.clone(),
@@ -93,6 +95,7 @@ impl CommitStore for TestStore {
         let (lock, cv) = &*self.ctl.0;
         let mut st = lock.lock().unwrap();
         st.entered += 1;
+        st.records += records.len() as u64;
         cv.notify_all();
         st = cv.wait_timeout_while(st, HOLD_LIMIT, |s| s.held).unwrap().0;
         if st.failing {
@@ -166,10 +169,12 @@ fn blocks(seed: u8) -> Vec<Bytes> {
 }
 
 fn write(seed: u8) -> ClientOp {
-    ClientOp::WriteStripe {
-        stripe: STRIPE,
-        blocks: blocks(seed),
-    }
+    write_to(STRIPE, seed)
+}
+
+fn write_to(stripe: StripeId, seed: u8) -> ClientOp {
+    let blocks = blocks(seed);
+    ClientOp::WriteStripe { stripe, blocks }
 }
 
 const READ: ClientOp = ClientOp::ReadStripe { stripe: STRIPE };
@@ -328,6 +333,78 @@ pub(crate) fn commit_failure_fences_the_brick<C: Cluster>() {
     cluster.shutdown();
 }
 
+/// (e) Fenced is for good: `recover` is for crashed bricks and does not
+/// resurrect one whose store failed.
+pub(crate) fn recover_does_not_resurrect_a_fenced_brick<C: Cluster>() {
+    let ctls: Vec<StoreCtl> = pids().map(|_| StoreCtl::default()).collect();
+    let cluster = C::on_stores(cfg(), &ctls);
+    let fenced = ProcessId::new(1);
+    ctls[1].fail();
+    assert_eq!(
+        invoke::<C>(&mut cluster.client(), &write(3)),
+        Ok(OpResult::Written)
+    );
+    ctls[1].wait_until("entered the failing sync", |st| st.entered >= 1);
+
+    cluster.recover(fenced);
+    assert_eq!(
+        cluster.ask(fenced, READ, EVENTUALLY),
+        Some(Err(ClientError::Unavailable)),
+        "recover brought a fenced brick back"
+    );
+    // Still silent to peers: it cannot stand in for a crashed brick.
+    cluster.crash(ProcessId::new(2));
+    assert_eq!(
+        cluster.ask(ProcessId::new(0), READ, GRACE),
+        None,
+        "a quorum formed: the fenced brick answered after recover"
+    );
+    cluster.shutdown();
+}
+
+/// (f) Group commit by drain: the requests that queue while one sync runs
+/// share the next one. Brick 3's first sync is held while the other three
+/// complete every write; released, it has one turn's worth of records to
+/// sync, not one sync per record.
+pub(crate) fn requests_queued_during_a_sync_share_the_next<C: Cluster>() {
+    const WRITES: u8 = 8;
+    let mut ctls: Vec<StoreCtl> = pids().map(|_| StoreCtl::default()).collect();
+    ctls[3] = StoreCtl::held();
+    let slow = &ctls[3];
+    let cluster = C::on_stores(cfg(), &ctls);
+    std::thread::scope(|s| {
+        let writes: Vec<_> = (0..WRITES)
+            .map(|k| {
+                let cluster = &cluster;
+                s.spawn(move || {
+                    let coordinator = ProcessId::new(u32::from(k % 3));
+                    let op = write_to(StripeId(u64::from(k)), k);
+                    retrying(
+                        || cluster.ask(coordinator, op.clone(), EVENTUALLY),
+                        |r| matches!(r, Some(Ok(OpResult::Aborted(_)))),
+                    )
+                })
+            })
+            .collect();
+        for w in writes {
+            assert_eq!(w.join().unwrap(), Some(Ok(OpResult::Written)));
+        }
+    });
+    slow.wait_until("entered its first sync", |st| st.entered >= 1);
+    std::thread::sleep(GRACE); // requests still on a socket reach the inbox
+    slow.release();
+    slow.wait_until("finished its second sync", |st| st.synced >= 2);
+    let st = slow.0 .0.lock().unwrap();
+    assert!(
+        st.entered < st.records && st.records >= u64::from(WRITES),
+        "{} syncs for {} records: queued requests did not share a sync",
+        st.entered,
+        st.records
+    );
+    drop(st);
+    cluster.shutdown();
+}
+
 /// Instantiates the suite for one [`Cluster`]; expects this module in
 /// scope as `host_conformance`.
 macro_rules! suite {
@@ -347,6 +424,14 @@ macro_rules! suite {
         #[test]
         fn commit_failure_fences_the_brick() {
             host_conformance::commit_failure_fences_the_brick::<$cluster>();
+        }
+        #[test]
+        fn recover_does_not_resurrect_a_fenced_brick() {
+            host_conformance::recover_does_not_resurrect_a_fenced_brick::<$cluster>();
+        }
+        #[test]
+        fn requests_queued_during_a_sync_share_the_next() {
+            host_conformance::requests_queued_during_a_sync_share_the_next::<$cluster>();
         }
     };
 }

@@ -34,9 +34,9 @@
 //! replay — group commit is all-or-nothing, never a prefix.
 //!
 //! [`BrickStore::append_batch`] writes a batch with one `write_all` + one
-//! `sync_data`; [`CommitPipeline`] (see [`commit`]) coalesces concurrently
-//! submitted records into such batches so independent operations share
-//! fsyncs.
+//! `sync_data`; the brick host commits once per turn of its event loop
+//! (see [`commit`]), so requests that queued during one sync share the
+//! next.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -51,8 +51,7 @@ use std::path::{Path, PathBuf};
 
 pub mod commit;
 mod crc32;
-pub(crate) mod sys;
-pub use commit::{CommitPipeline, CommitStats, CommitStatsHandle, CommitStore};
+pub use commit::{CommitStats, CommitStatsHandle, CommitStore};
 pub use crc32::crc32;
 
 /// Errors from the brick store.
@@ -371,8 +370,8 @@ impl BrickStore {
     /// A single-element batch is written as a plain record; larger batches
     /// become one kind-5 batch record whose CRC covers every sub-record, so
     /// a torn write during the batch leaves *none* of it visible on replay
-    /// (never a prefix). This is the group-commit primitive the
-    /// [`CommitPipeline`] builds on.
+    /// (never a prefix). This is the group-commit primitive the brick host
+    /// builds on (see [`commit`]).
     ///
     /// # Errors
     ///
@@ -780,6 +779,64 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let s = BrickStore::open(&path).unwrap();
         assert!(s.stripe(StripeId(0)).is_none(), "whole batch rejected");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn commits_are_on_disk_and_counted_in_the_callers_registry() {
+        let dir = tmpdir("commit");
+        let path = dir.join("brick.log");
+        let registry = fab_obs::Registry::new();
+        let stats = CommitStatsHandle::registered(&registry);
+        let mut s = BrickStore::open(&path).unwrap();
+        for i in 1..=3u8 {
+            // Two records per commit: each is one batch, one sync.
+            let records = [
+                (StripeId(0), PersistEvent::OrdTs(ts(u64::from(i)))),
+                (StripeId(0), PersistEvent::Entry(ts(u64::from(i)), data(0xA0 + i))),
+            ];
+            stats.commit(&mut s, &records).unwrap();
+            // `commit` has returned: the payload is already in the file.
+            let raw = std::fs::read(&path).unwrap();
+            assert!(raw.windows(16).any(|w| w == [0xA0 + i; 16]), "commit {i} not on disk");
+        }
+        let seen = stats.stats();
+        assert_eq!((seen.submitted, seen.committed, seen.failed), (6, 6, 0));
+        assert_eq!((seen.syncs, seen.max_batch), (3, 2));
+        let snap = registry.export();
+        assert_eq!(snap.counter("store_committed"), Some(6));
+        assert_eq!(snap.counter("store_syncs"), Some(3));
+        for name in ["store_fsync_micros", "store_batch_records"] {
+            let h = snap.histograms.iter().find(|(n, _)| *n == name);
+            assert_eq!(h.map(|(_, h)| h.count), Some(3), "{name}: one sample per sync");
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn failed_commit_leaves_the_image_untouched() {
+        let dir = tmpdir("failed");
+        let path = dir.join("brick.log");
+        let stats = CommitStatsHandle::registered(&fab_obs::Registry::new());
+        let mut s = BrickStore::open(&path).unwrap();
+        stats
+            .commit(&mut s, &[(StripeId(0), PersistEvent::Entry(ts(1), data(1)))])
+            .unwrap();
+        // A handle that cannot be written to: the next `write_all` fails.
+        s.file = File::open(&path).unwrap();
+        let lost = [
+            (StripeId(0), PersistEvent::Entry(ts(2), data(2))),
+            (StripeId(7), PersistEvent::OrdTs(ts(2))),
+        ];
+        assert!(stats.commit(&mut s, &lost).is_err());
+        assert_eq!(s.appended_records(), 1);
+        assert_eq!(s.stripe(StripeId(0)).unwrap().log.entry_at(ts(2)), None);
+        assert!(s.stripe(StripeId(7)).is_none());
+        let seen = stats.stats();
+        assert_eq!((seen.committed, seen.failed, seen.syncs), (1, 2, 1));
+        // And what a restart replays is what the image still shows.
+        let reopened = BrickStore::open(&path).unwrap();
+        assert_eq!(reopened.appended_records(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -29,11 +29,11 @@
 #                               within 10% of metrics-off (regression
 #                               tripwire for the observability overhead,
 #                               not a benchmark — that is stage 12)
-#   9. loom model checking    — exhaustive interleaving suites for the
-#                               commit pipeline and the transport buffer
-#                               pool, built with --cfg loom (swaps std sync
-#                               primitives for the workspace model checker;
-#                               see TESTING.md tier 6)
+#   9. loom model checking    — exhaustive interleaving suite for the
+#                               transport buffer pool, built with --cfg
+#                               loom (swaps std sync primitives for the
+#                               workspace model checker; see TESTING.md
+#                               tier 6; fab-obs's pair counter: stage 11)
 #  10. brick repair e2e        — n=5/m=3 loopback cluster: kill a brick, wipe
 #                               its store, rebuild it through the admin
 #                               repair protocol with a mid-repair
@@ -102,12 +102,10 @@ run timeout 300 $CARGO test -q -p fab-net --test loopback -- --ignored \
     metrics_cost_under_ten_percent_of_write_rate
 
 # Stage 9: exhaustive model checking of the concurrency kernels. --cfg loom
-# swaps the sys modules in fab-store/fab-net onto the in-tree `loom` model
-# checker; a separate target dir keeps the differently-cfg'd artifacts from
-# thrashing the main cache. The suites are exhaustive DFS over schedules, so
-# a hang means state-space blowup — the hard timeout fails CI instead.
-run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    $CARGO test -q -p fab-store --test loom
+# swaps fab-net's sys module onto the in-tree `loom` model checker; a
+# separate target dir keeps the differently-cfg'd artifacts from thrashing
+# the main cache. The suite is an exhaustive DFS over schedules, so a hang
+# means state-space blowup — the hard timeout fails CI instead.
 run timeout 300 env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
     $CARGO test -q -p fab-net --test loom
 

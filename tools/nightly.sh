@@ -15,7 +15,7 @@
 #   3. mutation smoke         — rebuild with each `fab_mutation` variant and
 #                               prove the suite catches the planted bug
 #                               within 500 seeds
-#   4. thread sanitizer       — fab-store + fab-net test suites under
+#   4. thread sanitizer       — fab-runtime + fab-net test suites under
 #                               -Zsanitizer=thread (data-race detection on
 #                               the real, non-model-checked threads);
 #                               requires a nightly toolchain with rust-src,
@@ -67,8 +67,8 @@ for variant in skip_ord_persist accept_stale_order skip_write_append read_ignore
         --bench-out "target/mutation/BENCH_torture_$variant.json"
 done
 
-# Phase 4: ThreadSanitizer over the two crates with real thread/fsync
-# concurrency. -Zsanitizer=thread needs a nightly toolchain and a
+# Phase 4: ThreadSanitizer over the two crates that run brick threads
+# (fab-store has had none since the event loop became the committer). -Zsanitizer=thread needs a nightly toolchain and a
 # rebuilt std (-Zbuild-std, hence rust-src); on stable-only machines the
 # phase skips with a notice rather than failing the whole night. The model
 # checker (ci.sh stage 9) covers the same kernels exhaustively but only
@@ -80,7 +80,7 @@ if rustup toolchain list 2> /dev/null | grep -q '^nightly' \
     TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
     run env RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/tsan \
         cargo +nightly test -q -Zbuild-std --target "$TSAN_TARGET" \
-        -p fab-store -p fab-net
+        -p fab-runtime -p fab-net
 else
     echo
     echo "==> tsan skipped: needs a nightly toolchain with rust-src" \

@@ -287,8 +287,8 @@ fn depth0_word(text: &str, word: &str) -> Option<usize> {
     None
 }
 
-/// `&mut fmt::Formatter<'_>` → `Formatter`; `CommitPipeline<S>` →
-/// `CommitPipeline`; `[u8; 4]` → `None` (unnameable, skipped).
+/// `&mut fmt::Formatter<'_>` → `Formatter`; `Host<T, S>` → `Host`;
+/// `[u8; 4]` → `None` (unnameable, skipped).
 fn last_type_segment(ty: &str) -> Option<String> {
     let head = ty.split('<').next().unwrap_or(ty);
     let seg = head.rsplit("::").next().unwrap_or(head);

@@ -211,11 +211,11 @@ fn untrusted_input(p: &str) -> bool {
         || p == "crates/runtime/src/host.rs"
 }
 
-/// The committer thread owns the only handle to a brick's durable log; a
-/// panic there ends durability for the whole brick. The pipeline fences on
-/// failure, but the discipline is the same as for protocol code: typed
-/// errors, never panics.
-fn commit_pipeline(p: &str) -> bool {
+/// The commit path runs on the brick's event loop and holds the only
+/// handle to its durable log; a panic there kills the brick. The host
+/// fences on failure, but the discipline is the same as for protocol code:
+/// typed errors, never panics.
+fn commit_path(p: &str) -> bool {
     p == "crates/store/src/commit.rs"
 }
 
@@ -290,7 +290,7 @@ fn no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if !(in_core(&file.path)
         || in_simnet(&file.path)
         || untrusted_input(&file.path)
-        || commit_pipeline(&file.path)
+        || commit_path(&file.path)
         || in_repair(&file.path)
         || in_obs(&file.path))
     {
@@ -832,10 +832,9 @@ fn blocking_witnesses(w: &Workspace) -> Vec<Option<String>> {
 
 /// L8: nothing blocking — fsync, channel wait, unbounded lock-wait, sleep,
 /// thread join — may be reachable from a declared event-loop entry point.
-/// This pins PR 5's "pre-decide on the loop, block only in the committer /
-/// writer threads" split. Diagnostics anchor at the offending site inside
-/// the entry itself (so an `xtask-allow` goes next to the decision), with
-/// the interprocedural witness chain in the message.
+/// (The host's one wait on the disk, `Host::commit_turn`, is under `run`.)
+/// Diagnostics anchor at the offending site inside the entry itself (so an
+/// `xtask-allow` goes next to the decision), with the witness chain.
 fn no_blocking_on_event_loop(w: &Workspace, out: &mut Vec<Diagnostic>) {
     let witnesses = blocking_witnesses(w);
     let mut local = Vec::new();
@@ -852,7 +851,7 @@ fn no_blocking_on_event_loop(w: &Workspace, out: &mut Vec<Diagnostic>) {
                 "no-blocking-on-event-loop",
                 b.offset,
                 format!(
-                    "`{}` blocks event-loop entry `{}`; hand the work to the committer/writer threads",
+                    "`{}` blocks event-loop entry `{}`; leave it to the end-of-turn commit or a writer thread",
                     b.what, f.qual
                 ),
             );
@@ -1333,8 +1332,8 @@ fn decode_frame(buf: &[u8]) -> Message {
     parse(buf).expect(\"valid body\")
 }
 ";
-        // The commit pipeline is held to the same bar: a panicking
-        // committer thread silently ends a brick's durability.
+        // The commit path is held to the same bar: it runs on the event
+        // loop, so a panic there kills the brick.
         for path in [
             "crates/wire/src/frame.rs",
             "crates/net/src/transport.rs",
@@ -1402,8 +1401,7 @@ fn decode_peer_body(body: &[u8]) -> Result<Envelope, WireError> {
         assert!(d[0].msg.contains("decode_peer_body"));
         assert!(run_lint("no-untrusted-index", "crates/wire/src/error.rs", src).is_empty());
 
-        // The commit pipeline replays logged bytes through the same shapes;
-        // its handler/decoder-named fns carry the indexing discipline too.
+        // The commit path carries the indexing discipline too.
         let d = run_lint("no-untrusted-index", "crates/store/src/commit.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
 
@@ -1843,28 +1841,6 @@ impl Hub {
     const HOST: &str = "crates/runtime/src/host.rs";
 
     #[test]
-    fn l8_fires_on_direct_and_transitive_blocking_from_entry() {
-        let src = "\
-impl<T: Transport, S: CommitStore> Host<T, S> {
-    fn on_net(&mut self, msg: Message) {
-        self.store.sync_data();
-        self.drain();
-    }
-    fn drain(&mut self) {
-        while let Ok(ev) = self.rx.recv() {
-            apply(ev);
-        }
-    }
-}
-";
-        let d = run_workspace_lint("no-blocking-on-event-loop", &[(HOST, src)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d[0].msg.contains("`sync_data` blocks event-loop entry"), "{}", d[0].msg);
-        assert!(d[1].msg.contains("call to `drain`"), "{}", d[1].msg);
-        assert!(d[1].msg.contains("`recv`"), "{}", d[1].msg);
-    }
-
-    #[test]
     fn l8_silent_on_bounded_locks_and_non_entry_blocking() {
         let src = "\
 fn send_reply(writer: &ClientWriter, frame: &[u8]) {
@@ -1885,16 +1861,40 @@ fn writer_loop(rx: &Receiver<Frame>) {
     }
 
     #[test]
-    fn l8_honours_allow_at_the_offending_site() {
-        let src = "\
+    fn l8_lets_only_the_turn_commit_reach_the_disk() {
+        let host = "\
 impl<T: Transport, S: CommitStore> Host<T, S> {
+    fn run(mut self) {
+        self.on_net(self.inbox.recv());
+        self.commit_turn();
+    }
+    fn commit_turn(&mut self) {
+        self.store.append_batch(&self.records);
+    }
     fn on_net(&mut self, msg: Message) {
-        // xtask-allow(no-blocking-on-event-loop): recovery barrier, runs before the brick serves traffic
-        self.store.sync_data();
+        self.records.push(msg);
     }
 }
 ";
-        assert!(run_workspace_lint("no-blocking-on-event-loop", &[(HOST, src)]).is_empty());
+        let store = "\
+impl BrickStore {
+    pub fn append_batch(&mut self, records: &[Record]) { self.file.sync_data() }
+}
+";
+        // What a handler does with its records, and what L8 says.
+        let cases = [
+            ("self.records.push(msg)", None),
+            ("self.file.sync_data()", Some("`sync_data` blocks event-loop entry `Host::on_net`")),
+            ("self.store.append_batch(&[msg])", Some("call to `append_batch` from event-loop entry")),
+            ("self.commit_turn()", Some("→ BrickStore::append_batch → `sync_data`")),
+        ];
+        for (handler, verdict) in cases {
+            let host = host.replace("self.records.push(msg)", handler);
+            let files = [(HOST, host.as_str()), ("crates/store/src/lib.rs", store)];
+            let d = run_workspace_lint("no-blocking-on-event-loop", &files);
+            assert_eq!(d.len(), usize::from(verdict.is_some()), "{handler}: {d:?}");
+            assert!(d.iter().all(|d| d.msg.contains(verdict.unwrap_or(""))), "{handler}: {d:?}");
+        }
     }
 
     // ------------------------------------------------------------ L9 -------

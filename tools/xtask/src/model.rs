@@ -368,9 +368,9 @@ pub const LOCK_CLASSES: &[LockClass] = &[
 /// the functions the single-threaded brick host (`fab-runtime::host`, run
 /// by both the channel runtime and `fabd`) calls per event, plus the TCP
 /// reply writer its transport hands client answers to; anything blocking
-/// reachable from them stalls every client of the brick. The loop's own
-/// idle `recv`/`recv_timeout` (in `run`) is the one place blocking is the
-/// *point*, so `run` itself is not an entry.
+/// reachable from them stalls every client of the brick once per event.
+/// `run` is not an entry: it blocks where blocking is the point — its idle
+/// `recv`/`recv_timeout`, and `commit_turn`'s one fsync for a whole turn.
 pub const EVENT_LOOP_ENTRIES: &[(&str, &str)] = &[
     ("crates/runtime/src/host.rs", "Host::on_net"),
     ("crates/runtime/src/host.rs", "Host::on_client"),
