@@ -12,8 +12,7 @@
 //! packed into one atomic so `fastpath + recovered` is exact at a single
 //! linearization point. The torture suite reconciles both halves against
 //! journal ground truth after every campaign; a mismatch is a convicting
-//! violation, so the pair must never tear (model-checked in
-//! `crates/obs/tests/loom.rs`).
+//! violation, so the pair must never tear (`crates/obs/tests/no_tear.rs`).
 //!
 //! Latency values are whatever the driver's [`Effects::now`] reports —
 //! sim ticks under `fab-simnet`, monotonic microseconds under `fab-net`.

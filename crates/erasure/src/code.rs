@@ -487,22 +487,6 @@ impl Codec {
         new_data: &[u8],
         old_parity: &[u8],
     ) -> Result<Vec<u8>> {
-        let p = self.params();
-        if !p.is_data_index(i) {
-            return Err(CodeError::IndexOutOfRange {
-                index: i,
-                bound: p.m(),
-            });
-        }
-        if !p.is_parity_index(j) {
-            return Err(CodeError::IndexOutOfRange {
-                index: j,
-                bound: p.n(),
-            });
-        }
-        if old_data.len() != new_data.len() || old_data.len() != old_parity.len() {
-            return Err(CodeError::UnequalBlockLengths);
-        }
         let mut parity = old_parity.to_vec();
         self.modify_in_place(i, j, old_data, new_data, &mut parity)?;
         Ok(parity)
@@ -574,22 +558,6 @@ impl Codec {
         old_data: &[u8],
         new_data: &[u8],
     ) -> Result<Vec<u8>> {
-        let p = self.params();
-        if !p.is_data_index(i) {
-            return Err(CodeError::IndexOutOfRange {
-                index: i,
-                bound: p.m(),
-            });
-        }
-        if !p.is_parity_index(j) {
-            return Err(CodeError::IndexOutOfRange {
-                index: j,
-                bound: p.n(),
-            });
-        }
-        if old_data.len() != new_data.len() {
-            return Err(CodeError::UnequalBlockLengths);
-        }
         let mut delta = vec![0u8; old_data.len()];
         self.coded_delta_acc(i, j, old_data, new_data, &mut delta)?;
         Ok(delta)

@@ -78,10 +78,11 @@ impl NetClient {
         let addr = *self.cluster.get(target).ok_or(())?;
         let id = self.next_id;
         self.next_id += 1;
-        self.encode_buf.clear();
-        encode(id, &mut self.encode_buf);
-        let frame = std::mem::take(&mut self.encode_buf);
-        let attempt_timeout = self.attempt_timeout;
+        // `frame` and `slot` borrow disjoint fields, so a failed attempt
+        // keeps the buffer (and its capacity) for the next one.
+        let frame = &mut self.encode_buf;
+        frame.clear();
+        encode(id, frame);
 
         let slot = self.conns.get_mut(target).ok_or(())?;
         if slot.is_none() {
@@ -91,10 +92,10 @@ impl NetClient {
             *slot = Some(stream);
         }
         let stream = slot.as_mut().ok_or(())?;
-        let _ = stream.set_read_timeout(Some(attempt_timeout));
-        let _ = stream.set_write_timeout(Some(attempt_timeout));
+        let _ = stream.set_read_timeout(Some(self.attempt_timeout));
+        let _ = stream.set_write_timeout(Some(self.attempt_timeout));
         let outcome = (|| {
-            stream.write_all(&frame).map_err(|_| ())?;
+            stream.write_all(frame).map_err(|_| ())?;
             loop {
                 match read_frame(stream).map(|(msg, _)| matching(msg)) {
                     Ok(Ok((got, result))) if got == id => return Ok(result),
@@ -112,7 +113,6 @@ impl NetClient {
         if outcome.is_err() {
             *slot = None; // poisoned: mid-stream state is unknowable
         }
-        self.encode_buf = frame; // keep the capacity for the next request
         outcome
     }
 
@@ -211,5 +211,27 @@ impl RegisterClient for NetClient {
             }
         }
         Err(ClientError::Unavailable)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A refused connection (each failover past a dead brick) must not
+    /// throw the request buffer away.
+    #[test]
+    fn a_refused_connect_keeps_the_request_buffer() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        drop(listener);
+        let cfg = RegisterConfig::new(1, 1, 16).unwrap();
+        let mut client = NetClient::connect(vec![addr], cfg);
+        client.max_rounds = 1;
+        assert_eq!(
+            client.try_read_block(StripeId(0), 0),
+            Err(ClientError::Unavailable)
+        );
+        assert!(client.encode_buf.capacity() > 0);
     }
 }

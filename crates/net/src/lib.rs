@@ -80,12 +80,11 @@
 
 pub mod client;
 pub mod server;
-pub(crate) mod sys;
 pub mod transport;
 
 pub use client::NetClient;
 pub use server::{BrickNode, NodeConfig, TransportMetrics, WRITE_TIMEOUT};
 pub use transport::{
-    read_frame, BufferPool, CounterSnapshot, PeerCounters, PeerSender, RecvError,
-    CONNECT_TIMEOUT, MAX_COALESCED_BYTES, MAX_COALESCED_FRAMES,
+    read_frame, CounterSnapshot, PeerCounters, PeerSender, RecvError, CONNECT_TIMEOUT,
+    MAILBOX_FRAMES, MAX_COALESCED_BYTES, MAX_COALESCED_FRAMES,
 };

@@ -3,10 +3,10 @@
 //!
 //! The event loop is `fab_runtime::host::Host` — the same durable host the
 //! threaded in-process runtime runs, monomorphised over this module's
-//! [`Transport`]: a peer send is encoded with `fab-wire` on the event loop
-//! and handed to a [`PeerSender`] writer thread (fair-loss, reconnect with
-//! backoff), a client's answer is a reply frame on its
-//! connection, and incoming frames arrive from per-connection reader
+//! [`Transport`]: a peer send hands the envelope to a [`PeerSender`] writer
+//! thread, which encodes it with `fab-wire` into the buffer it writes from
+//! (fair-loss, reconnect with backoff), a client's answer is a reply frame
+//! on its connection, and incoming frames arrive from per-connection reader
 //! threads feeding one crossbeam channel. Admin frames (repair
 //! orchestration, `stats-snapshot`) are this front end's own business and
 //! ride the loop as the transport's control events.
@@ -18,7 +18,7 @@
 //! or shut-down brick is indistinguishable from a crashed one, which is
 //! exactly the fault model the protocol tolerates.
 
-use crate::transport::{read_frame, BufferPool, PeerCounters, PeerSender, RecvError};
+use crate::transport::{read_frame, PeerCounters, PeerSender, RecvError};
 use crossbeam::channel::{unbounded, Sender};
 use fab_core::{Coordinator, Envelope, OpResult, RegisterConfig};
 use fab_repair::{plan_brick_rebuild, plan_full_scrub, DriverConfig, InProcRepair};
@@ -28,9 +28,8 @@ use fab_store::{BrickStore, CommitStatsHandle, CommitStore};
 use fab_timestamp::ProcessId;
 use fab_volume::{Layout, VolumeGeometry};
 use fab_wire::{
-    encode_admin_reply_into, encode_client_reply_into, encode_peer_message_into, AdminOp,
-    AdminResponse, ClientError, Message, RepairProgress, StatsEntry, StatsHistogramEntry,
-    StatsReport,
+    encode_admin_reply_into, encode_client_reply_into, AdminOp, AdminResponse, ClientError,
+    Message, RepairProgress, StatsEntry, StatsHistogramEntry, StatsReport,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -44,9 +43,6 @@ use std::time::{Duration, Instant};
 /// Bound on a blocking socket write (a stalled peer or client must not
 /// wedge the server's event loop or a writer thread forever).
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How many idle encode buffers a brick retains for reuse.
-const POOL_CAPACITY: usize = 256;
 
 /// Everything a brick process needs to join a cluster.
 #[derive(Debug, Clone)]
@@ -126,33 +122,13 @@ pub struct TransportMetrics {
     /// Group-commit counters (`None` unless the brick runs a durable
     /// store).
     pub commit: Option<fab_store::CommitStats>,
-    /// Encode-buffer pool `(hits, misses)`; misses stop growing once the
-    /// steady-state send path is allocation-free.
+    /// Always `(0, 0)`: there is no encode-buffer pool. The field (and the
+    /// benchmark's `net.pool_miss_share`, which reads it) goes with the
+    /// next `benchmark`-archetype PR.
     pub pool: (u64, u64),
 }
 
 // --------------------------------------------------------- transport ------
-
-/// Encodes one reply frame into a pooled buffer (the steady-state reply
-/// path allocates nothing) and writes it; errors are ignored — a vanished
-/// client or operator needs no answer.
-fn send_reply(
-    writer: &ClientWriter,
-    client_counters: &PeerCounters,
-    pool: &BufferPool,
-    encode: impl FnOnce(&mut Vec<u8>),
-) {
-    let mut frame = pool.take();
-    encode(&mut frame);
-    if let Ok(mut stream) = writer.0.lock() {
-        if stream.write_all(&frame).is_ok() {
-            client_counters.record_sent(frame.len());
-        } else {
-            client_counters.record_drop();
-        }
-    }
-    pool.put(frame);
-}
 
 /// The brick's view of repair orchestration: everything needed to spawn
 /// a background rebuild on demand, plus the running driver (if any).
@@ -184,8 +160,9 @@ struct Tcp {
     /// One writer thread per peer (`None` in this brick's own slot).
     peers: Vec<Option<PeerSender>>,
     counters: Vec<Arc<PeerCounters>>,
-    /// Encode buffers, shared with the writer threads that return them.
-    pool: Arc<BufferPool>,
+    /// Where reply frames are encoded (the event loop is the one thread
+    /// that answers clients, so one buffer serves every reply).
+    scratch: Vec<u8>,
     self_tx: Sender<Event>,
     client_counters: Arc<PeerCounters>,
     repair: RepairControl,
@@ -204,9 +181,7 @@ impl Transport for Tcp {
             // A self-send loops back into the event loop unserialized.
             let _ = self.self_tx.send(Event::Net { from: self.pid, env });
         } else if let Some(Some(peer)) = self.peers.get(to.index()) {
-            let mut frame = self.pool.take();
-            encode_peer_message_into(self.pid, &env, &mut frame);
-            peer.send(frame);
+            peer.send(env);
         }
     }
 
@@ -217,7 +192,7 @@ impl Transport for Tcp {
     }
 
     fn reply(&mut self, (id, writer): Self::ReplyTo, result: Result<OpResult, ClientError>) {
-        send_reply(&writer, &self.client_counters, &self.pool, |frame| {
+        self.send_reply(&writer, |frame| {
             encode_client_reply_into(id, &result, frame);
         });
     }
@@ -231,13 +206,27 @@ impl Transport for Tcp {
         } else {
             self.handle_admin(&op)
         };
-        send_reply(&writer, &self.client_counters, &self.pool, |frame| {
+        self.send_reply(&writer, |frame| {
             encode_admin_reply_into(id, &result, frame);
         });
     }
 }
 
 impl Tcp {
+    /// Encodes one reply frame and writes it; errors are ignored — a
+    /// vanished client or operator needs no answer.
+    fn send_reply(&mut self, writer: &ClientWriter, encode: impl FnOnce(&mut Vec<u8>)) {
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        if let Ok(mut stream) = writer.0.lock() {
+            if stream.write_all(&self.scratch).is_ok() {
+                self.client_counters.record_sent(self.scratch.len());
+            } else {
+                self.client_counters.record_drop();
+            }
+        }
+    }
+
     fn handle_admin(&mut self, op: &AdminOp) -> Result<AdminResponse, ClientError> {
         match *op {
             AdminOp::RepairStart {
@@ -392,9 +381,6 @@ impl Tcp {
         counter(&mut counters, "net_client_frames_recv", clients.frames_recv);
         counter(&mut counters, "net_client_bytes_sent", clients.bytes_sent);
         counter(&mut counters, "net_client_bytes_recv", clients.bytes_recv);
-        let (hits, misses) = self.pool.stats();
-        counter(&mut counters, "net_pool_hits", hits);
-        counter(&mut counters, "net_pool_misses", misses);
         counter(&mut gauges, "net_inbox_depth", self.self_tx.len() as u64);
         // Repair driver (running or last finished).
         if let Some(r) = &self.repair.repair {
@@ -573,7 +559,6 @@ pub struct BrickNode {
     faults: Arc<FaultPlan>,
     counters: Vec<Arc<PeerCounters>>,
     client_counters: Arc<PeerCounters>,
-    pool: Arc<BufferPool>,
     commit_stats: Option<CommitStatsHandle>,
     obs: Option<Arc<fab_obs::Registry>>,
     node: ProcessId,
@@ -666,8 +651,6 @@ impl BrickNode {
             .map(|_| Arc::new(PeerCounters::new()))
             .collect();
         let client_counters = Arc::new(PeerCounters::new());
-        let pool = BufferPool::new(POOL_CAPACITY);
-        let pool_handle = pool.clone();
         let peers: Vec<Option<PeerSender>> = cluster
             .iter()
             .enumerate()
@@ -676,10 +659,10 @@ impl BrickNode {
                     None
                 } else {
                     Some(PeerSender::spawn(
+                        node,
                         *peer_addr,
                         backoff,
                         counters[i].clone(),
-                        pool.clone(),
                     ))
                 }
             })
@@ -694,7 +677,7 @@ impl BrickNode {
             cfg: register.clone(),
             peers,
             counters: counters.clone(),
-            pool,
+            scratch: Vec::new(),
             self_tx: tx.clone(),
             client_counters: client_counters.clone(),
             repair: RepairControl {
@@ -743,7 +726,6 @@ impl BrickNode {
             faults,
             counters,
             client_counters,
-            pool: pool_handle,
             commit_stats,
             obs,
             node,
@@ -790,7 +772,7 @@ impl BrickNode {
             peers: self.counters.iter().map(|c| c.snapshot()).collect(),
             clients: self.client_counters.snapshot(),
             commit: self.commit_stats.as_ref().map(CommitStatsHandle::stats),
-            pool: self.pool.stats(),
+            pool: (0, 0),
         }
     }
 

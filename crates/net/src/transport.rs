@@ -15,8 +15,13 @@
 //! fault-handling parameters.
 
 use crate::server::WRITE_TIMEOUT;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use fab_wire::{decode_body, FrameHeader, Message, WireError, HEADER_LEN, MAX_BODY_LEN};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use fab_core::Envelope;
+use fab_timestamp::ProcessId;
+use fab_wire::{
+    decode_body, encode_peer_message_into, FrameHeader, Message, WireError, HEADER_LEN,
+    MAX_BODY_LEN,
+};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,101 +40,11 @@ pub const MAX_COALESCED_FRAMES: usize = 64;
 /// out alone).
 pub const MAX_COALESCED_BYTES: usize = 1 << 20;
 
-/// A bounded free-list of encoding buffers, shared between the threads
-/// that encode frames and the writer threads that retire them.
-///
-/// The hot send path takes a buffer, encodes a frame into it with the
-/// `fab-wire` `_into` encoders, and queues it; the writer copies it into
-/// its staging buffer and puts it straight back. After warm-up every
-/// `take` is a hit and the steady-state path allocates nothing per frame.
-#[derive(Debug)]
-pub struct BufferPool {
-    free: crate::sys::Mutex<Vec<Vec<u8>>>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl BufferPool {
-    /// A pool retaining at most `capacity` idle buffers.
-    #[must_use]
-    pub fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(BufferPool {
-            free: crate::sys::Mutex::new(Vec::new()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// An empty buffer: recycled if one is idle (hit), freshly allocated
-    /// otherwise (miss).
-    #[must_use]
-    pub fn take(&self) -> Vec<u8> {
-        // A poisoned lock (impossible in practice: no panics while held)
-        // degrades to recycling anyway — the free list is a plain Vec whose
-        // invariants can't be torn by an unwind — never to panicking on the
-        // hot path.
-        let recycled = self
-            .free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        if let Some(buf) = recycled {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            buf
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        }
-    }
-
-    /// Returns `buf` to the free list (cleared, capacity kept). Dropped on
-    /// the floor if the pool is already full.
-    ///
-    /// The `capacity` bound holds on *every* path, including a poisoned
-    /// lock: a pool that stopped bounding itself after an unrelated panic
-    /// would silently become the unbounded backlog this type exists to
-    /// prevent.
-    pub fn put(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut free = self
-            .free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if free.len() < self.capacity {
-            free.push(buf);
-        }
-    }
-
-    /// Test hook: poison the free-list lock by panicking while holding it.
-    ///
-    /// Only compiled for model-checking builds; lets `tests/loom.rs` prove
-    /// the degraded (poisoned) path still enforces the capacity bound.
-    #[cfg(loom)]
-    #[doc(hidden)]
-    pub fn poison_free_list(self: &Arc<Self>) {
-        let me = Arc::clone(self);
-        let _ = loom::thread::spawn(move || {
-            // Hold the guard (inside the Ok) across the panic so the
-            // unwind poisons the lock.
-            let _guard = me.free.lock();
-            // xtask-allow(no-panic): deliberate panic-while-locked, cfg(loom)-only, to drive the poisoned-path test
-            panic!("poisoning BufferPool free list for the model checker");
-        })
-        .join();
-    }
-
-    /// `(hits, misses)` so far. A steady-state sender stops accumulating
-    /// misses once the pool is warm.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
+/// Most envelopes a peer's mailbox holds. A peer that stops reading costs
+/// its sender this many queued envelopes (their payloads are shared
+/// `Bytes`) and no more: what does not fit is dropped and counted like any
+/// other loss on a fair-loss link.
+pub const MAILBOX_FRAMES: usize = 1024;
 
 /// Monotonic per-peer traffic counters, shared between the transport
 /// threads and whoever wants to observe them ([`CounterSnapshot`]).
@@ -306,33 +221,33 @@ pub fn read_frame(stream: &mut TcpStream) -> Result<(Message, usize), RecvError>
 
 /// A handle to one outbound peer connection, serviced by a writer thread.
 ///
-/// Frames are queued on a channel; the writer thread owns the socket and
+/// Envelopes are queued on a bounded mailbox; the writer thread owns the
+/// socket, encodes each envelope into the buffer it writes from, and
 /// (re)connects lazily with [`fab_simnet::Backoff`]-scheduled retries.
-/// Send semantics are fair-loss: if the link is down, the frame is dropped
-/// and counted, never buffered past the queue.
+/// Send semantics are fair-loss: if the link is down or the mailbox is
+/// full, the envelope is dropped and counted.
 #[derive(Debug)]
 #[must_use]
 pub struct PeerSender {
-    tx: Sender<Vec<u8>>,
+    tx: Sender<Envelope>,
     handle: Option<JoinHandle<()>>,
     counters: Arc<PeerCounters>,
 }
 
 impl PeerSender {
-    /// Spawns the writer thread for `peer`. Frame buffers handed to
-    /// [`PeerSender::send`] are retired into `pool` once their bytes are
-    /// staged, so encode-side callers can take them back and reuse them.
+    /// Spawns the writer thread that carries brick `from`'s envelopes to
+    /// `peer`.
     pub fn spawn(
+        from: ProcessId,
         peer: SocketAddr,
         backoff: fab_simnet::Backoff,
         counters: Arc<PeerCounters>,
-        pool: Arc<BufferPool>,
     ) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = bounded(MAILBOX_FRAMES);
         let thread_counters = counters.clone();
         let handle = std::thread::Builder::new()
             .name(format!("fab-peer-{peer}"))
-            .spawn(move || writer_loop(peer, &rx, backoff, &thread_counters, &pool))
+            .spawn(move || writer_loop(from, peer, &rx, backoff, &thread_counters))
             .ok();
         PeerSender {
             tx,
@@ -341,10 +256,11 @@ impl PeerSender {
         }
     }
 
-    /// Queues one encoded frame for transmission (fair-loss: the frame may
-    /// be dropped if the link is down).
-    pub fn send(&self, frame: Vec<u8>) {
-        if self.tx.send(frame).is_err() {
+    /// Queues one envelope for transmission without ever blocking
+    /// (fair-loss: it is dropped and counted if the mailbox is full, and
+    /// may be dropped later if the link is down).
+    pub fn send(&self, env: Envelope) {
+        if self.tx.try_send(env).is_err() {
             self.counters.record_drop();
         }
     }
@@ -355,41 +271,35 @@ impl PeerSender {
         &self.counters
     }
 
-    /// Stops the writer thread and joins it. Queued frames not yet written
-    /// are discarded (fair-loss).
-    pub fn shutdown(mut self) {
-        // An empty frame can never be produced by the encoder (every frame
-        // starts with a 16-byte header), so it doubles as a stop sentinel.
-        let _ = self.tx.send(Vec::new());
-        if let Some(h) = self.handle.take() {
+    /// Closes the mailbox and joins the writer thread, which first sends
+    /// (or, on a down link, drops) what is still queued. Merely dropping a
+    /// `PeerSender` closes the mailbox too, without waiting behind a slow
+    /// socket.
+    pub fn shutdown(self) {
+        let PeerSender { tx, handle, .. } = self;
+        drop(tx);
+        if let Some(h) = handle {
             let _ = h.join();
         }
     }
 }
 
-impl Drop for PeerSender {
-    fn drop(&mut self) {
-        // Dropping the sender disconnects the channel; the writer thread
-        // exits after its current frame. Joining here would risk blocking
-        // drops behind a slow socket, so detach instead.
-        let _ = self.tx.send(Vec::new());
-    }
-}
-
-/// The writer thread: owns the socket, reconnects with backoff, coalesces
-/// queued frames into single writes, drops what it cannot deliver.
+/// The writer thread: owns the socket, reconnects with backoff, encodes
+/// queued envelopes back to back into single writes, drops what it cannot
+/// deliver. It ends when the mailbox is closed and empty.
 ///
-/// After blocking for the first frame it greedily drains whatever else is
-/// already queued (up to [`MAX_COALESCED_FRAMES`] / [`MAX_COALESCED_BYTES`])
-/// into one reused staging buffer and issues a single `write_all`. Under
-/// load this collapses dozens of per-frame syscalls into one; when idle the
-/// first frame still goes out immediately — coalescing never waits.
+/// After blocking for the first envelope it greedily drains whatever else
+/// is already queued (up to [`MAX_COALESCED_FRAMES`] / [`MAX_COALESCED_BYTES`])
+/// into one reused staging buffer — the only buffer between an envelope and
+/// the socket — and issues a single `write_all`. Under load this collapses
+/// dozens of per-frame syscalls into one; when idle the first frame still
+/// goes out immediately — coalescing never waits.
 fn writer_loop(
+    from: ProcessId,
     peer: SocketAddr,
-    rx: &Receiver<Vec<u8>>,
+    rx: &Receiver<Envelope>,
     backoff: fab_simnet::Backoff,
     counters: &PeerCounters,
-    pool: &BufferPool,
 ) {
     let mut conn: Option<TcpStream> = None;
     let mut attempt: u32 = 0;
@@ -397,27 +307,14 @@ fn writer_loop(
     let mut connected_before = false;
     let mut staging: Vec<u8> = Vec::new();
     while let Ok(first) = rx.recv() {
-        if first.is_empty() {
-            return; // stop sentinel
-        }
-        // Stage the first frame, then drain everything already queued.
         staging.clear();
-        staging.extend_from_slice(&first);
-        pool.put(first);
-        let mut frames = 1usize;
-        let mut stop_after_flush = false;
-        while frames < MAX_COALESCED_FRAMES && staging.len() < MAX_COALESCED_BYTES {
-            match rx.try_recv() {
-                Ok(f) if f.is_empty() => {
-                    stop_after_flush = true;
-                    break;
-                }
-                Ok(f) => {
-                    staging.extend_from_slice(&f);
-                    pool.put(f);
-                    frames += 1;
-                }
-                Err(_) => break, // queue momentarily empty: flush now
+        let mut frames = 0usize;
+        // `try_iter` ends at an empty (or closed) mailbox: flush then.
+        for env in std::iter::once(first).chain(rx.try_iter()) {
+            encode_peer_message_into(from, &env, &mut staging);
+            frames += 1;
+            if frames >= MAX_COALESCED_FRAMES || staging.len() >= MAX_COALESCED_BYTES {
+                break;
             }
         }
         if conn.is_none() && Instant::now() >= next_retry {
@@ -456,84 +353,68 @@ fn writer_loop(
             }
             None => counters.record_drops(frames),
         }
-        if stop_after_flush {
-            return;
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use fab_core::{BlockValue, Payload, Request, StripeId};
     use fab_simnet::Backoff;
-    use fab_timestamp::{ProcessId, Timestamp};
+    use fab_timestamp::Timestamp;
     use std::net::TcpListener;
 
-    fn peer_frame(ticks: u64) -> Vec<u8> {
-        let env = fab_core::Envelope {
-            stripe: fab_core::StripeId(1),
+    const FROM: ProcessId = ProcessId::new(0);
+
+    fn envelope(ticks: u64) -> Envelope {
+        Envelope {
+            stripe: StripeId(1),
             round: ticks,
-            kind: fab_core::Payload::Request(fab_core::Request::Order {
-                ts: Timestamp::from_parts(ticks.max(1), ProcessId::new(0)),
+            kind: Payload::Request(Request::Order {
+                ts: Timestamp::from_parts(ticks.max(1), FROM),
             }),
-        };
-        let mut frame = Vec::new();
-        fab_wire::encode_peer_message_into(ProcessId::new(0), &env, &mut frame);
-        frame
+        }
+    }
+
+    fn write_envelope(ticks: u64, block: Bytes) -> Envelope {
+        Envelope {
+            kind: Payload::Request(Request::Write {
+                block: BlockValue::Data(block),
+                ts: Timestamp::from_parts(ticks, FROM),
+            }),
+            ..envelope(ticks)
+        }
+    }
+
+    fn spawn(addr: SocketAddr, backoff: Backoff) -> (PeerSender, Arc<PeerCounters>) {
+        let counters = Arc::new(PeerCounters::new());
+        (
+            PeerSender::spawn(FROM, addr, backoff, counters.clone()),
+            counters,
+        )
     }
 
     #[test]
     fn sender_delivers_frames_to_a_listener() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let counters = Arc::new(PeerCounters::new());
-        let sender = PeerSender::spawn(addr, Backoff::default(), counters.clone(), BufferPool::new(8));
-        sender.send(peer_frame(7));
+        let (sender, counters) = spawn(listener.local_addr().unwrap(), Backoff::default());
+        sender.send(envelope(7));
 
         let (mut conn, _) = listener.accept().unwrap();
         let (msg, len) = read_frame(&mut conn).unwrap();
-        match msg {
-            Message::Peer { from, env } => {
-                assert_eq!(from, ProcessId::new(0));
-                assert_eq!(env.round, 7);
+        assert_eq!(
+            msg,
+            Message::Peer {
+                from: FROM,
+                env: envelope(7)
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         assert!(len > HEADER_LEN);
         sender.shutdown();
         let snap = counters.snapshot();
         assert_eq!(snap.frames_sent, 1);
         assert_eq!(snap.bytes_sent, len as u64);
-    }
-
-    #[test]
-    fn buffer_pool_bound_survives_poisoned_lock() {
-        let pool = BufferPool::new(1);
-
-        // Poison the free-list lock: panic while holding the guard.
-        let poisoner = Arc::clone(&pool);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = poisoner.free.lock().unwrap();
-            panic!("poison the pool lock");
-        }));
-        assert!(pool.free.lock().is_err(), "lock should now be poisoned");
-
-        // The degraded path must still enforce the capacity bound...
-        pool.put(Vec::with_capacity(64));
-        pool.put(Vec::with_capacity(64));
-        assert_eq!(
-            pool.free
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .len(),
-            1,
-            "poisoned path must keep the capacity bound"
-        );
-
-        // ...and `take` must still recycle rather than always allocating.
-        let _ = pool.take();
-        let (hits, misses) = pool.stats();
-        assert_eq!((hits, misses), (1, 0));
     }
 
     #[test]
@@ -543,19 +424,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         drop(listener);
 
-        let counters = Arc::new(PeerCounters::new());
-        let sender = PeerSender::spawn(
+        let (sender, counters) = spawn(
             addr,
             Backoff {
                 base_micros: 1_000,
                 factor: 2,
                 max_micros: 10_000,
             },
-            counters.clone(),
-            BufferPool::new(8),
         );
         for t in 0..5 {
-            sender.send(peer_frame(t + 1));
+            sender.send(envelope(t + 1));
             std::thread::sleep(Duration::from_millis(5));
         }
         // Everything so far was dropped (link down).
@@ -583,7 +461,7 @@ mod tests {
         let mut delivered = false;
         let mut t = 100;
         while Instant::now() < deadline {
-            sender.send(peer_frame(t));
+            sender.send(envelope(t));
             t += 1;
             std::thread::sleep(Duration::from_millis(10));
             if counters.snapshot().frames_sent > 0 {
@@ -601,15 +479,13 @@ mod tests {
     #[test]
     fn writer_coalesces_queued_frames_into_batched_writes() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let counters = Arc::new(PeerCounters::new());
-        let sender = PeerSender::spawn(addr, Backoff::default(), counters.clone(), BufferPool::new(64));
+        let (sender, counters) = spawn(listener.local_addr().unwrap(), Backoff::default());
 
         // Queue a burst before the writer can connect: once the connection
         // is up, the backlog must go out in far fewer writes than frames.
         const BURST: u64 = 48;
         for t in 0..BURST {
-            sender.send(peer_frame(t + 1));
+            sender.send(envelope(t + 1));
         }
         let (mut conn, _) = listener.accept().unwrap();
         let mut seen = Vec::new();
@@ -641,68 +517,55 @@ mod tests {
         sender.shutdown();
     }
 
+    /// No format change: what a listener receives for a batch of envelopes
+    /// is the concatenation of `encode_peer_message_into` for each.
     #[test]
-    fn steady_state_send_path_reuses_pooled_buffers() {
+    fn a_batch_on_the_wire_is_the_concatenated_frames() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let counters = Arc::new(PeerCounters::new());
-        let pool = BufferPool::new(8);
-        let sender = PeerSender::spawn(addr, Backoff::default(), counters.clone(), pool.clone());
-
-        // The writer only connects once the first frame is queued, so the
-        // accept must not block the sending thread.
-        let reader = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            let mut n = 0u64;
-            while read_frame(&mut conn).is_ok() {
-                n += 1;
-            }
-            n
-        });
-        const ROUNDS: u64 = 100;
-        for t in 0..ROUNDS {
-            let mut buf = pool.take();
-            let env = fab_core::Envelope {
-                stripe: fab_core::StripeId(1),
-                round: t,
-                kind: fab_core::Payload::Request(fab_core::Request::Order {
-                    ts: Timestamp::from_parts(t + 1, ProcessId::new(0)),
-                }),
+        let (sender, _) = spawn(listener.local_addr().unwrap(), Backoff::default());
+        let mut expected = Vec::new();
+        for t in 1..=5 {
+            let env = if t % 2 == 0 {
+                write_envelope(t, Bytes::from(vec![t as u8; 300]))
+            } else {
+                envelope(t)
             };
-            fab_wire::encode_peer_message_into(ProcessId::new(0), &env, &mut buf);
-            sender.send(buf);
-            // Wait until this frame is staged (and its buffer pooled).
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while counters.snapshot().frames_sent <= t {
-                assert!(Instant::now() < deadline, "frame {t} never sent");
-                std::thread::yield_now();
-            }
+            encode_peer_message_into(FROM, &env, &mut expected);
+            sender.send(env);
         }
-        let (hits, misses) = pool.stats();
-        assert_eq!(hits + misses, ROUNDS);
-        // Steady state allocates nothing per frame: after the first take
-        // warms the pool, every subsequent take is a hit.
-        assert_eq!(misses, 1, "{misses} allocations for {ROUNDS} frames");
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut received = vec![0u8; expected.len()];
+        conn.read_exact(&mut received).unwrap();
+        assert_eq!(received, expected);
+        // Nothing follows the batch.
         sender.shutdown();
-        assert_eq!(reader.join().unwrap(), ROUNDS);
+        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0);
     }
 
     #[test]
-    fn buffer_pool_is_bounded_and_clears_returned_buffers() {
-        let pool = BufferPool::new(2);
-        let a = pool.take();
-        assert!(a.is_empty());
-        pool.put(vec![1, 2, 3]);
-        pool.put(vec![4]);
-        pool.put(vec![5]); // beyond capacity: dropped
-        let b = pool.take();
-        let c = pool.take();
-        assert!(b.is_empty() && c.is_empty(), "returned buffers are cleared");
-        let (hits, misses) = pool.stats();
-        assert_eq!((hits, misses), (2, 1));
-        // Pool drained again: next take allocates.
-        let _ = pool.take();
-        assert_eq!(pool.stats(), (2, 2));
+    fn a_stalled_peer_bounds_the_mailbox() {
+        // The peer accepts and never reads: once the socket buffers fill,
+        // the writer sits in `write_all` and the mailbox behind it fills.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (sender, counters) = spawn(listener.local_addr().unwrap(), Backoff::default());
+        let block = Bytes::from(vec![0xabu8; 64 << 10]);
+        let started = Instant::now();
+        for t in 0..4 * MAILBOX_FRAMES as u64 {
+            sender.send(write_envelope(t + 1, block.clone()));
+        }
+        let took = started.elapsed();
+        assert!(took < WRITE_TIMEOUT / 4, "send blocked: {took:?}");
+        let snap = counters.snapshot();
+        assert!(snap.dropped > 0, "{snap:?}");
+        // Sent, in flight, queued or dropped: never more than the bound queued.
+        assert!(
+            snap.frames_sent + snap.dropped >= (3 * MAILBOX_FRAMES - MAX_COALESCED_FRAMES) as u64,
+            "{snap:?}"
+        );
+        // Reset the stalled connection so the writer fails fast and exits.
+        let stalled = listener.accept().unwrap();
+        drop((stalled, listener));
+        sender.shutdown();
     }
 
     #[test]
@@ -729,7 +592,8 @@ mod tests {
         // Truncated mid-body: an I/O error (EOF inside the frame).
         let mut c = TcpStream::connect(addr).unwrap();
         let (mut server_side, _) = listener.accept().unwrap();
-        let frame = peer_frame(3);
+        let mut frame = Vec::new();
+        encode_peer_message_into(FROM, &envelope(3), &mut frame);
         c.write_all(&frame[..frame.len() - 4]).unwrap();
         drop(c);
         assert!(matches!(

@@ -13,7 +13,7 @@
 //!   atomic load and can never tear: `reads_fastpath + reads_recovered`
 //!   is exact at one linearization point, which is what lets the torture
 //!   suite reconcile it against journal ground truth as a convicting
-//!   invariant. `tests/loom.rs` model-checks the no-tear property.
+//!   invariant. `tests/no_tear.rs` races real threads on the no-tear property.
 //!
 //! # Determinism rules (L2)
 //!

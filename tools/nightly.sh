@@ -17,7 +17,7 @@
 #                               within 500 seeds
 #   4. thread sanitizer       — fab-runtime + fab-net test suites under
 #                               -Zsanitizer=thread (data-race detection on
-#                               the real, non-model-checked threads);
+#                               the real threads);
 #                               requires a nightly toolchain with rust-src,
 #                               skipped with a notice otherwise
 #   5. coverage (optional)    — line-coverage summary when cargo-llvm-cov
@@ -68,12 +68,11 @@ for variant in skip_ord_persist accept_stale_order skip_write_append read_ignore
 done
 
 # Phase 4: ThreadSanitizer over the two crates that run brick threads
-# (fab-store has had none since the event loop became the committer). -Zsanitizer=thread needs a nightly toolchain and a
-# rebuilt std (-Zbuild-std, hence rust-src); on stable-only machines the
-# phase skips with a notice rather than failing the whole night. The model
-# checker (ci.sh stage 9) covers the same kernels exhaustively but only
-# under sequential consistency — TSan is the complementary check on the
-# real weak-memory execution.
+# (fab-store has had none since the event loop became the committer).
+# -Zsanitizer=thread needs a nightly toolchain and a rebuilt std
+# (-Zbuild-std, hence rust-src); on stable-only machines the phase skips
+# with a notice rather than failing the whole night. It is the one check of
+# those threads on the real weak-memory execution.
 if rustup toolchain list 2> /dev/null | grep -q '^nightly' \
     && rustup component list --toolchain nightly 2> /dev/null \
         | grep -q 'rust-src (installed)'; then

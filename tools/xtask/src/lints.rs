@@ -1727,14 +1727,14 @@ mod tests {
 
     #[test]
     fn l7_fires_on_rank_inversion_direct_and_via_call() {
-        // Direct nesting: buffer-pool (rank 2) held while taking
+        // Direct nesting: client-stream (rank 1) held while taking
         // conn-registry (rank 0) — inverted.
         let direct = "\
-impl Pool {
-    fn recycle(&self) {
-        let mut free = self.free.lock().unwrap();
+impl Hub {
+    fn notify(&self) {
+        let mut w = self.writer.lock().unwrap();
         let reg = self.registry.lock().unwrap();
-        free.push(reg.len());
+        w.notify(reg.len());
     }
 }
 ";
@@ -1742,9 +1742,9 @@ impl Pool {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 4, "anchored at the inner acquisition");
         assert!(d[0].msg.contains("rank 0"));
-        assert!(d[0].msg.contains("rank 2"));
+        assert!(d[0].msg.contains("rank 1"));
 
-        // Interprocedural: cluster-handles (rank 3, crates/runtime) held
+        // Interprocedural: cluster-handles (rank 2, crates/runtime) held
         // across a call into crates/net that takes conn-registry (rank 0).
         let runtime = "\
 impl Cluster {
@@ -1843,9 +1843,11 @@ impl Hub {
     #[test]
     fn l8_silent_on_bounded_locks_and_non_entry_blocking() {
         let src = "\
-fn send_reply(writer: &ClientWriter, frame: &[u8]) {
-    let w = writer.lock().unwrap();
-    w.enqueue(frame);
+impl Tcp {
+    fn send_reply(&mut self, writer: &ClientWriter) {
+        let w = writer.lock().unwrap();
+        w.enqueue(&self.scratch);
+    }
 }
 fn writer_loop(rx: &Receiver<Frame>) {
     while let Ok(f) = rx.recv() {

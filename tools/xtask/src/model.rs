@@ -322,15 +322,14 @@ fn find_fns(masked: &str) -> Vec<FnSpan> {
 /// resolution, and client-side glue that never runs on a brick's event
 /// loop. Files here are still linted by the per-file rules L1–L6.
 pub const GRAPH_EXCLUDED_PREFIXES: &[&str] = &[
-    "crates/loom/",    // model-checking stand-in: reimplements thread/mpsc/Mutex
     "crates/torture/", // fault-campaign harness
     "crates/bench/",   // benchmark drivers
     "crates/volume/",  // client-side volume glue (delegation wrappers over a Mutex)
 ];
 
 /// One declared lock class for L7. `receiver` is the last alphabetic
-/// segment of the expression a `.lock()` is called on (`self.free.lock()`
-/// → `free`); `file_prefix` scopes the mapping (empty = any file).
+/// segment of the expression a `.lock()` is called on (`writer.0.lock()`
+/// → `writer`); `file_prefix` scopes the mapping (empty = any file).
 pub struct LockClass {
     pub receiver: &'static str,
     pub file_prefix: &'static str,
@@ -349,19 +348,14 @@ pub struct LockClass {
 /// * `conn-registry` (fab-net `Registry`): held while draining/joining
 ///   reader bookkeeping — outermost, nothing else may be held around it.
 /// * `client-stream` (fab-net per-client `ClientWriter`): held across one
-///   reply `write_all` (bounded by the socket write timeout); the reply
-///   buffer is returned to the pool afterwards, so `buffer-pool` must rank
-///   inside it.
-/// * `buffer-pool` (fab-net `BufferPool::free`): an O(1) push/pop
-///   free-list — a leaf in practice, may be taken under any of the above.
+///   reply `write_all` (bounded by the socket write timeout).
 /// * `cluster-handles` (fab-runtime `RuntimeCluster::handles`): join-side
 ///   bookkeeping on the test-cluster path; nothing is ever acquired under
 ///   it, so it ranks last.
 pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { receiver: "registry", file_prefix: "crates/net/", class: "conn-registry", rank: 0, bounded: false },
     LockClass { receiver: "writer", file_prefix: "crates/net/", class: "client-stream", rank: 1, bounded: true },
-    LockClass { receiver: "free", file_prefix: "crates/net/", class: "buffer-pool", rank: 2, bounded: true },
-    LockClass { receiver: "handles", file_prefix: "crates/runtime/", class: "cluster-handles", rank: 3, bounded: false },
+    LockClass { receiver: "handles", file_prefix: "crates/runtime/", class: "cluster-handles", rank: 2, bounded: false },
 ];
 
 /// Event-loop entry points for L8, as `(file, qualified fn)`. These are
@@ -378,12 +372,13 @@ pub const EVENT_LOOP_ENTRIES: &[(&str, &str)] = &[
     ("crates/runtime/src/host.rs", "Host::refuse_waiting"),
     ("crates/runtime/src/host.rs", "Host::fence"),
     ("crates/runtime/src/host.rs", "Host::load_from_store"),
-    ("crates/net/src/server.rs", "send_reply"),
+    ("crates/net/src/server.rs", "Tcp::send_reply"),
 ];
 
 /// Method calls that block the calling thread (L8 sinks). Channel `send`
 /// is deliberately absent (all inter-thread channels here are unbounded,
-/// or capacity-1 replies with a dedicated waiting receiver), as is
+/// or capacity-1 replies with a dedicated waiting receiver; the bounded
+/// peer mailbox takes `try_send` only), as is
 /// `write_all` (sockets carry explicit write timeouts). `try_recv` never
 /// matches `recv` thanks to identifier-boundary matching.
 pub const BLOCKING_METHODS: &[&str] = &[
