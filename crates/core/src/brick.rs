@@ -34,7 +34,6 @@ struct CtxFx<'a, 'b> {
 impl Effects for CtxFx<'_, '_> {
     fn send(&mut self, to: ProcessId, env: Envelope) {
         // Persistence decisions are made by the replica/coordinator callers.
-        // xtask-allow(log-before-send): thin Effects adapter with no state of its own
         self.ctx.send(to, env);
     }
     fn set_timer(&mut self, delay: u64) -> u64 {
@@ -514,8 +513,11 @@ impl SimCluster {
 /// The contract of [`SimCluster`]'s typed sugar and `measure_op`: harness
 /// conveniences that panic on malformed input or a missed deadline
 /// ([`SimCluster::invoke`] is the typed path).
+#[expect(
+    clippy::expect_used,
+    reason = "harness sugar panics by contract; SimCluster::invoke is the typed path"
+)]
 fn expect_done<T>(outcome: Result<T, ClientError>) -> T {
-    // xtask-allow(no-panic): harness sugar panics by contract; SimCluster::invoke is the typed path
     outcome.expect("operation rejected, or not complete by the deadline — more than f faults?")
 }
 

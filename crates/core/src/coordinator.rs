@@ -1347,7 +1347,6 @@ impl Coordinator {
         };
         for i in 0..self.cfg.n() {
             // Coordinator state is volatile by design (§4.1).
-            // xtask-allow(log-before-send): fire-and-forget GC hint; nothing to persist
             fx.send(
                 ProcessId::new(i as u32),
                 Envelope {
@@ -1426,7 +1425,6 @@ fn broadcast(fx: &mut dyn Effects, op: &Op, only_missing: Option<&QuorumTracker>
         }
         // Coordinator state is volatile by design (§4.1); durability lives in
         // the replica logs, so there is nothing to persist before a request.
-        // xtask-allow(log-before-send): coordinator requests carry no durable state
         fx.send(
             pid,
             Envelope {

@@ -18,6 +18,11 @@
 //! or shut-down brick is indistinguishable from a crashed one, which is
 //! exactly the fault model the protocol tolerates.
 
+// Rule L1 (no-panic), DESIGN.md §6: network input never panics a brick.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::transport::{read_frame, PeerCounters, PeerSender, RecvError};
 use crossbeam::channel::{unbounded, Sender};
 use fab_core::{Coordinator, Envelope, OpResult, RegisterConfig};
@@ -95,9 +100,12 @@ impl NodeConfig {
 }
 
 /// A reply channel back to one connected client: the write half of its
-/// connection, shared with the reader thread's registry.
-#[derive(Debug, Clone)]
-struct ClientWriter(Arc<Mutex<TcpStream>>);
+/// connection. The reader thread hands a clone to the event loop with every
+/// request, and the event loop is the one thread that ever writes a reply
+/// ([`Tcp::send_reply`], through `impl Write for &TcpStream`), so whole
+/// frames cannot interleave and no lock is needed. Whoever gives replies a
+/// second writer must bring the serialization back with it.
+type ClientWriter = Arc<TcpStream>;
 
 type Event = host::Event<Tcp>;
 
@@ -198,8 +206,10 @@ impl Transport for Tcp {
     }
 
     /// Serves one admin operation. Start spawns the repair orchestrator on
-    /// its own thread (the event loop never blocks on repair work); status
-    /// and abort are answered from lock-free atomics.
+    /// its own thread, which also opens the repair cursor (the event loop
+    /// never blocks on repair work — L8 checks it, `Tcp::control` is one of
+    /// its entries); status and abort are answered from lock-free atomics,
+    /// and a stats snapshot takes the registry's mutex for one bounded walk.
     fn control(&mut self, Admin { id, op, writer }: Admin, down: bool) {
         let result = if down {
             Err(ClientError::Unavailable)
@@ -218,12 +228,11 @@ impl Tcp {
     fn send_reply(&mut self, writer: &ClientWriter, encode: impl FnOnce(&mut Vec<u8>)) {
         self.scratch.clear();
         encode(&mut self.scratch);
-        if let Ok(mut stream) = writer.0.lock() {
-            if stream.write_all(&self.scratch).is_ok() {
-                self.client_counters.record_sent(self.scratch.len());
-            } else {
-                self.client_counters.record_drop();
-            }
+        let mut stream: &TcpStream = writer;
+        if stream.write_all(&self.scratch).is_ok() {
+            self.client_counters.record_sent(self.scratch.len());
+        } else {
+            self.client_counters.record_drop();
         }
     }
 
@@ -276,15 +285,13 @@ impl Tcp {
                         )
                     })
                     .collect();
-                let spawned = InProcRepair::spawn(
+                self.repair.repair = Some(InProcRepair::spawn(
                     plan,
                     cfg,
                     clients,
                     self.repair.cursor_path.clone(),
                     None,
-                )
-                .map_err(|_| ClientError::Unavailable)?;
-                self.repair.repair = Some(spawned);
+                ));
                 Ok(AdminResponse::Started)
             }
             AdminOp::RepairStatus => {
@@ -316,6 +323,7 @@ impl Tcp {
                 }
                 Ok(AdminResponse::Aborted)
             }
+            // xtask-allow(no-blocking-on-event-loop): one walk of the fab-obs registry under its mutex, O(instruments); the other holders (registration at boot, an embedder's `export`) never wait while holding it
             AdminOp::StatsSnapshot => Ok(AdminResponse::Stats(self.stats_report())),
         }
     }
@@ -436,7 +444,7 @@ fn handle_connection(
     let writer = match stream.try_clone() {
         Ok(clone) => {
             let _ = clone.set_write_timeout(Some(WRITE_TIMEOUT));
-            ClientWriter(Arc::new(Mutex::new(clone)))
+            Arc::new(clone)
         }
         Err(_) => return,
     };
@@ -500,11 +508,14 @@ fn accept_loop(
                 let id = next_id;
                 next_id += 1;
                 // Registered before the reader starts, so the reader's
-                // removal cannot come first.
-                if let Ok(clone) = stream.try_clone() {
-                    if let Ok(mut reg) = registry.lock() {
-                        reg.streams.insert(id, clone);
-                    }
+                // removal cannot come first. No clone (EMFILE), no
+                // connection: a reader absent from `streams` is a thread
+                // `shutdown_inner` joins and nothing can unblock.
+                let Ok(clone) = stream.try_clone() else {
+                    continue;
+                };
+                if let Ok(mut reg) = registry.lock() {
+                    reg.streams.insert(id, clone);
                 }
                 let handle = {
                     let tx = tx.clone();
@@ -830,7 +841,7 @@ mod host_conformance;
 mod tests {
     use super::*;
     use crate::NetClient;
-    use fab_wire::{encode_client_request_into, ClientOp};
+    use fab_wire::{encode_admin_request_into, encode_client_request_into, ClientOp};
     use host_conformance::{Cluster, StoreCtl};
 
     /// A loopback cluster of [`BrickNode`]s: the host conformance suite
@@ -914,6 +925,47 @@ mod tests {
     }
 
     host_conformance::suite!(TcpCluster);
+
+    /// Why replies need no lock: the event loop is their one writer. 64
+    /// requests pipelined down one socket before anything is read back —
+    /// stripe writes, block reads and admin stats snapshots interleaved —
+    /// return as 64 whole frames, each id answered once. A second writer of
+    /// replies shows up here as a frame that does not decode.
+    #[test]
+    fn pipelined_replies_on_one_connection_arrive_whole() {
+        let cfg = RegisterConfig::new(2, 3, 16).unwrap();
+        let cluster = TcpCluster::boot(cfg, |node_cfg, l| BrickNode::spawn(node_cfg, l).unwrap());
+        let mut stream = TcpStream::connect(cluster.addrs[0]).unwrap();
+        let patience = Some(Duration::from_secs(30));
+        stream.set_read_timeout(patience).unwrap();
+        let mut frames = Vec::new();
+        for id in 0..64u64 {
+            let stripe = fab_core::StripeId(id / 3);
+            match id % 3 {
+                0 => {
+                    let blocks = vec![bytes::Bytes::from(vec![id as u8; 16]); 2];
+                    let op = ClientOp::WriteStripe { stripe, blocks };
+                    encode_client_request_into(id, &op, &mut frames);
+                }
+                1 => {
+                    let op = ClientOp::ReadBlock { stripe, j: 0 };
+                    encode_client_request_into(id, &op, &mut frames);
+                }
+                _ => encode_admin_request_into(id, &AdminOp::StatsSnapshot, &mut frames),
+            }
+        }
+        stream.write_all(&frames).unwrap();
+        let mut answered = std::collections::BTreeSet::new();
+        for _ in 0..64 {
+            let id = match read_frame(&mut stream) {
+                Ok((Message::ClientReply { id, .. } | Message::AdminReply { id, .. }, _)) => id,
+                other => panic!("not a whole reply frame: {other:?}"),
+            };
+            assert!(answered.insert(id), "id {id} answered twice");
+        }
+        assert!(answered.into_iter().eq(0..64));
+        cluster.shutdown();
+    }
 
     /// Metrics off is "don't export": the commits are still counted (the typed
     /// `metrics()` view reads it), but the node hands out no registry and

@@ -14,6 +14,11 @@
 //! threaded runtime, the simulator harnesses, and this transport agree on
 //! fault-handling parameters.
 
+// Rule L1 (no-panic), DESIGN.md §6: socket threads never panic on input.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::server::WRITE_TIMEOUT;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use fab_core::Envelope;

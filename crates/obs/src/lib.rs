@@ -25,6 +25,12 @@
 //! Recording a metric never feeds back into protocol behavior, so a
 //! simulation's fingerprint is bit-identical with metrics on or off.
 
+// Rules L1 (no-panic) and L2 (determinism), DESIGN.md §6.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

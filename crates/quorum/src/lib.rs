@@ -32,6 +32,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
+// Rules L2 (determinism) and L5 (no-as-truncation), DESIGN.md §6.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use fab_timestamp::ProcessId;
 use std::error::Error;

@@ -120,27 +120,22 @@ impl InProcRepair {
     /// thread per client; in-flight concurrency is the smaller of
     /// `cfg.max_inflight` and the client count). If `cursor_path` is
     /// given, the run resumes from that durable cursor, checkpoints into
-    /// it, and retires it on completing. The call itself never blocks on
-    /// repair work — it opens the cursor file and spawns threads.
+    /// it, and retires it on completing. The call itself only spawns
+    /// threads: `fabd` makes it from its event loop, so even the cursor is
+    /// opened on the repair's own thread.
     pub fn spawn<C>(
         plan: RepairPlan,
         cfg: DriverConfig,
         clients: Vec<C>,
         cursor_path: Option<PathBuf>,
         health: Option<HealthMap>,
-    ) -> std::io::Result<InProcRepair>
+    ) -> InProcRepair
     where
         C: RegisterClient + Send + 'static,
     {
         let counters = Arc::new(RepairCounters::new());
-        let cursor = match cursor_path {
-            Some(path) => Some(RepairCursor::open(&path, plan.hash)?),
-            None => None,
-        };
+        let plan_hash = plan.hash;
         let mut driver = RepairDriver::with_counters(plan, cfg, Arc::clone(&counters));
-        if let Some(c) = &cursor {
-            driver = driver.resume_from(c.watermark());
-        }
         if let Some(h) = health {
             driver = driver.with_health(h);
         }
@@ -153,19 +148,27 @@ impl InProcRepair {
             let complete = Arc::clone(&complete);
             let counters = Arc::clone(&counters);
             std::thread::spawn(move || {
+                // Opening reads the file, and fsyncs when it compacts. Like
+                // a failed checkpoint, a cursor that cannot be opened costs
+                // a rescan after a crash, never a wrong watermark: the run
+                // goes on from zero without one.
+                let cursor = cursor_path.and_then(|p| RepairCursor::open(&p, plan_hash).ok());
+                if let Some(c) = &cursor {
+                    driver = driver.resume_from(c.watermark());
+                }
                 let outcome = orchestrate(driver, clients, cursor, &abort, &counters);
                 complete.store(outcome.complete, Ordering::Release);
                 done.store(true, Ordering::Release);
                 outcome
             })
         };
-        Ok(InProcRepair {
+        InProcRepair {
             counters,
             abort,
             done,
             complete,
             handle: Some(handle),
-        })
+        }
     }
 
     /// Point-in-time stats (lock-free; callable from an event loop).
@@ -351,7 +354,7 @@ mod tests {
             max_inflight: 3,
             ..DriverConfig::default()
         };
-        let job = InProcRepair::spawn(plan(64), cfg, clients, None, None).unwrap();
+        let job = InProcRepair::spawn(plan(64), cfg, clients, None, None);
         let out = job.wait().expect("repair thread finished");
         assert!(out.complete);
         assert_eq!(out.stats.repaired, 64);
@@ -374,7 +377,7 @@ mod tests {
             max_inflight: 2,
             ..DriverConfig::default()
         };
-        let job = InProcRepair::spawn(plan(24), cfg, clients, None, None).unwrap();
+        let job = InProcRepair::spawn(plan(24), cfg, clients, None, None);
         let out = job.wait().expect("no worker or driver thread panicked");
         assert!(out.complete, "{:?}", out.stats);
         assert_eq!(out.stats.repaired, 24);
@@ -399,7 +402,7 @@ mod tests {
             stripes_per_sec: 20, // slow enough that abort lands mid-run
             ..DriverConfig::default()
         };
-        let job = InProcRepair::spawn(plan(100_000), cfg, clients, None, None).unwrap();
+        let job = InProcRepair::spawn(plan(100_000), cfg, clients, None, None);
         job.abort();
         let out = job.wait().expect("repair thread finished");
         assert!(!out.complete);
@@ -421,8 +424,7 @@ mod tests {
                 vec![client],
                 Some(path.clone()),
                 None,
-            )
-            .unwrap();
+            );
             let out = job.wait().expect("repair thread finished");
             assert!(out.complete);
             assert_eq!(
@@ -431,6 +433,22 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The cursor is progress insurance, opened on the repair's own thread:
+    /// where none can be opened (here its path is a directory) the run is
+    /// made without one rather than refused.
+    #[test]
+    fn an_unopenable_cursor_costs_the_resume_not_the_repair() {
+        let dir = std::env::temp_dir().join(format!("fab-repair-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let client = FakeClient::with_written(0..40);
+        let cfg = DriverConfig::default();
+        let job = InProcRepair::spawn(plan(40), cfg, vec![client], Some(dir.clone()), None);
+        let out = job.wait().expect("repair thread finished");
+        assert!(out.complete);
+        assert_eq!(out.stats.repaired, 40);
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]
@@ -470,8 +488,7 @@ mod tests {
             vec![client],
             Some(path.clone()),
             None,
-        )
-        .unwrap();
+        );
         let out = job.wait().expect("repair thread finished");
         assert!(out.complete);
         assert_eq!(

@@ -23,9 +23,17 @@
 //! threads, no ambient randomness): torture campaigns drive the state
 //! machine on simulated time and stay bit-identical.
 
+// Rules L1 (no-panic) and L2 (determinism), DESIGN.md §6; `inproc` is the
+// threaded harness and opts out of L2 below.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod cursor;
 pub mod driver;
 pub mod health;
+#[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 pub mod inproc;
 pub mod planner;
 pub mod stats;

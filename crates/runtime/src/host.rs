@@ -34,6 +34,11 @@
 //! implementations; the host is monomorphised over each, so neither pays
 //! for the other.
 
+// Rule L1 (no-panic), DESIGN.md §6: a panic on the event loop kills the brick.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use fab_core::{
     ClientError, ClientOp, Completion, Coordinator, Effects, Envelope, OpResult, Payload,

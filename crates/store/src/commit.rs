@@ -16,6 +16,11 @@
 //! a brick that cannot persist must fail-stop rather than reply from
 //! volatile state).
 
+// Rule L1 (no-panic), DESIGN.md §6: the commit path runs on the event loop.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::{BrickStore, StoreError, StripeState};
 use fab_core::{PersistEvent, StripeId};
 use fab_obs::{Counter, Gauge, Histogram, HistogramSnapshot};

@@ -30,6 +30,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
+// Rule L5 (no-as-truncation), DESIGN.md §6.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use std::fmt;
 
@@ -56,10 +58,11 @@ impl ProcessId {
 
     /// The id as an index into dense per-process arrays.
     #[must_use]
+    #[expect(
+        clippy::as_conversions,
+        reason = "`TryFrom` is not callable in a `const fn`; u32→usize widens on every supported platform"
+    )]
     pub const fn index(self) -> usize {
-        // `TryFrom` is not callable in a `const fn`; u32→usize is widening
-        // on every supported platform, so `as` cannot truncate here.
-        // xtask-allow(no-as-truncation): widening u32→usize in a const fn
         self.0 as usize
     }
 }

@@ -13,10 +13,17 @@
 #   1. release build          — the code must compile with optimizations
 #   2. test suite             — workspace unit + integration tests
 #   3. bench compile          — bench targets must keep building
-#   4. protocol static lints  — `cargo xtask analyze` (L1–L6, zero tolerance),
-#                               then `cargo xtask loc`: the per-crate non-test
-#                               line counts simplicity PRs quote (informational)
-#   5. clippy                 — workspace lint wall, warnings are errors
+#   4. protocol static lints  — `cargo xtask analyze` (L1b, L4, L6, L8, L9:
+#                               the rules that need to know the protocol; zero
+#                               tolerance), the tool's own tests (each rule
+#                               against a planted bug in real source), then
+#                               `cargo xtask loc`: the per-crate non-test line
+#                               counts simplicity PRs quote (informational)
+#   5. clippy                 — workspace lint wall, warnings are errors; it
+#                               carries rules L1 (no-panic), L2 (determinism),
+#                               L3 (unsafe-audit) and L5 (no-as-truncation):
+#                               clippy.toml + one deny attribute per scoped
+#                               crate root or module head (DESIGN.md §6)
 #   6. loopback cluster       — n=5 TCP bricks, kill/restart mid-workload,
 #                               strict-linearizability check (wall-clock capped);
 #                               then the cross-substrate conformance script
@@ -77,6 +84,7 @@ stage=1 run $CARGO build --release
 stage=2 run $CARGO test -q
 stage=3 run $CARGO bench --no-run
 stage=4 run cargo xtask analyze
+stage=4 run cargo test -q --manifest-path tools/xtask/Cargo.toml
 stage=4 run cargo xtask loc
 stage=5 run $CARGO clippy --workspace --all-targets -- -D warnings
 

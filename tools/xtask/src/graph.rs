@@ -1,39 +1,33 @@
 //! Workspace semantic model: per-function facts and a resolved call graph.
 //!
-//! This is the layer the concurrency lints (L7–L9) stand on. It stays true
-//! to the zero-dependency philosophy of `lexer.rs`: no `syn`, no AST — just
-//! the masked token stream plus enough structure to answer three questions:
+//! This is the layer L8 (nothing blocking reachable from the event loop)
+//! stands on. It stays true to the zero-dependency philosophy of `lexer.rs`:
+//! no `syn`, no AST — just the masked token stream plus enough structure to
+//! answer three questions:
 //!
 //! 1. **Who calls whom?** Every `name(`, `.name(` and `Path::name(` site is
 //!    recorded with its argument count and resolved against the workspace's
 //!    `fn` items (exact `Type::name` match first, then bare name + arity).
-//! 2. **What does each function do that a lock-order or event-loop lint
-//!    cares about?** Lock acquisitions (`.lock(` with the receiver chain),
-//!    and blocking operations (`recv`, `wait`, `sync_data`, 0-ary `join`,
-//!    `sleep`, `connect_timeout`, …) are per-function facts.
-//! 3. **What is reachable?** Transitive closures over the call graph give
-//!    each function its set of acquired lock classes and a witness chain to
-//!    the first blocking operation, if any.
+//! 2. **What does each function do that blocks?** Channel and lock waits,
+//!    fsyncs, 0-ary `join`, `sleep`, `connect_timeout`, … are per-function
+//!    facts.
+//! 3. **What is reachable?** A transitive closure over the call graph gives
+//!    each function a witness chain to its first blocking operation, if any.
 //!
-//! Known over-approximations (all documented in DESIGN.md §9):
+//! Known approximations (all documented in DESIGN.md §9):
 //!
 //! * A bare-name method call resolves to **every** workspace `fn` with that
 //!   name and arity (receiver types are not inferred). Exact-path calls
-//!   (`Type::name`, `Self::name`) resolve exactly.
-//! * The enclosing function of a closure body owns the closure's facts, so
-//!   work handed to `thread::spawn` is charged to the spawning function.
-//!   The declared event-loop entry points avoid spawn sites for exactly
-//!   this reason.
-//! * A lock guard is assumed live from the acquisition site to the end of
-//!   the innermost enclosing brace block (if-let guards really end at the
-//!   close of *their* block, slightly earlier).
-//!
-//! Over-approximation direction matters: each of these can only *add*
-//! spurious edges/facts, never hide a real one — except the arity filter,
-//! which trades a class of false cycles (std methods shadowing workspace
-//! names, e.g. `TcpStream::shutdown(how)` vs our 0-ary `shutdown(self)`)
-//! for missed edges on arity-mismatched true calls, which Rust's lack of
-//! overloading makes rare.
+//!   (`Type::name`, `Self::name`) resolve exactly. This can only *add*
+//!   spurious edges, never hide a real one.
+//! * The arity filter trades a class of false cycles (std methods shadowing
+//!   workspace names, e.g. `TcpStream::shutdown(how)` vs our 0-ary
+//!   `shutdown(self)`) for missed edges on arity-mismatched true calls,
+//!   which Rust's lack of overloading makes rare.
+//! * A closure's facts belong to the function that contains it — except the
+//!   closure handed to a `spawn(..)` call, which runs on the thread it
+//!   starts: the spawner does not wait for it, so neither its calls nor its
+//!   waits are the spawner's.
 
 use crate::lexer::{is_ident_byte, word_occurrences};
 use crate::model::{match_brace, SourceFile, GRAPH_EXCLUDED_PREFIXES};
@@ -52,18 +46,6 @@ pub struct CallSite {
     pub args: usize,
     /// Byte offset of the callee name in the file's masked text.
     pub offset: usize,
-}
-
-/// One `.lock(` acquisition site.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// Last alphabetic segment of the receiver chain (`self.free.lock()`
-    /// → `free`, `writer.0.lock()` → `writer`).
-    pub receiver: String,
-    pub offset: usize,
-    /// Guard liveness over-approximation: to the end of the innermost
-    /// enclosing brace block.
-    pub scope: Range<usize>,
 }
 
 /// One directly-blocking operation (channel wait, fsync, sleep, …).
@@ -85,7 +67,6 @@ pub struct FnInfo {
     /// Parameter count, `self` excluded.
     pub params: usize,
     pub calls: Vec<CallSite>,
-    pub locks: Vec<LockSite>,
     pub blocking: Vec<BlockingSite>,
 }
 
@@ -132,14 +113,21 @@ impl Workspace {
                 let (params, has_self) = param_count(&file.masked, f.start);
                 let body = &file.masked[f.body.clone()];
                 let base = f.body.start;
+                let spawned = spawned_closures(body);
+                let here = |off: usize| !spawned.iter().any(|r| r.contains(&(off - base)));
                 fns.push(FnInfo {
                     file: fi,
                     name: f.name.clone(),
                     qual,
                     params: if has_self { params.saturating_sub(1) } else { params },
-                    calls: find_calls(body, base, impl_ty),
-                    locks: find_locks(body, base),
-                    blocking: find_blocking(body, base),
+                    calls: find_calls(body, base, impl_ty)
+                        .into_iter()
+                        .filter(|c| here(c.offset))
+                        .collect(),
+                    blocking: find_blocking(body, base)
+                        .into_iter()
+                        .filter(|b| here(b.offset))
+                        .collect(),
                 });
             }
         }
@@ -448,81 +436,20 @@ fn find_calls(body: &str, base: usize, impl_ty: Option<&str>) -> Vec<CallSite> {
     out
 }
 
-/// Every `.lock(` site in `body`, with its receiver and guard scope.
-fn find_locks(body: &str, base: usize) -> Vec<LockSite> {
-    let b = body.as_bytes();
-    word_occurrences(body, "lock")
+/// Byte ranges of `body` holding a closure passed straight to a `spawn(..)`
+/// call (`thread::spawn(move || ..)`, `Builder::spawn(|| ..)`): code that
+/// runs on the new thread, not on the spawner's.
+fn spawned_closures(body: &str) -> Vec<Range<usize>> {
+    word_occurrences(body, "spawn")
         .into_iter()
-        .filter(|&off| off > 0 && b[off - 1] == b'.')
-        .filter(|&off| {
-            let mut j = off + 4;
-            while j < b.len() && (b[j] as char).is_whitespace() {
-                j += 1;
-            }
-            j < b.len() && b[j] == b'('
-        })
-        .map(|off| LockSite {
-            receiver: receiver_of(body, off - 1),
-            offset: base + off,
-            scope: enclosing_block(body, off)
-                .map(|r| base + r.start..base + r.end)
-                .unwrap_or(base..base + body.len()),
+        .filter_map(|off| {
+            let after = off + "spawn".len();
+            let open = after + body[after..].find(|c: char| !c.is_whitespace())?;
+            let arg = body[open..].strip_prefix('(')?.trim_start();
+            let arg = arg.strip_prefix("move").map_or(arg, str::trim_start);
+            arg.starts_with('|').then(|| open..split_args(body, open).1)
         })
         .collect()
-}
-
-/// Last alphabetic segment of the receiver chain ending at the `.` at
-/// `dot`: `self.free.lock` → `free`, `writer.0.lock` → `writer`. The
-/// chain may be rustfmt-wrapped (`self\n    .free\n    .lock()`), so
-/// whitespace between segments and dots is skipped.
-fn receiver_of(body: &str, dot: usize) -> String {
-    let b = body.as_bytes();
-    let mut i = dot;
-    loop {
-        // Walk back over one segment, ignoring line wraps before it.
-        while i > 0 && (b[i - 1] as char).is_whitespace() {
-            i -= 1;
-        }
-        let seg_end = i;
-        while i > 0 && is_ident_byte(b[i - 1]) {
-            i -= 1;
-        }
-        let seg = &body[i..seg_end];
-        let alphabetic = seg.chars().next().is_some_and(|c| !c.is_ascii_digit());
-        if alphabetic && !seg.is_empty() {
-            return seg.to_string();
-        }
-        // Tuple-index segment (`.0`): keep walking left past the next dot.
-        let mut j = i;
-        while j > 0 && (b[j - 1] as char).is_whitespace() {
-            j -= 1;
-        }
-        if j > 0 && b[j - 1] == b'.' {
-            i = j - 1;
-            continue;
-        }
-        return seg.to_string();
-    }
-}
-
-/// Innermost brace block of `body` containing `off`.
-fn enclosing_block(body: &str, off: usize) -> Option<Range<usize>> {
-    let b = body.as_bytes();
-    let mut stack = Vec::new();
-    for (i, &c) in b.iter().enumerate() {
-        match c {
-            b'{' => stack.push(i),
-            b'}' => {
-                if let Some(open) = stack.pop() {
-                    if open <= off && off < i {
-                        return Some(open..i + 1);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Directly-blocking operations in `body`. Channel `send` and socket
@@ -655,52 +582,6 @@ impl<T: Transport, S: CommitStore> Host<T, S> {
     }
 
     #[test]
-    fn lock_sites_capture_receiver_and_scope() {
-        let src = "\
-impl Pool {
-    fn put(&self) {
-        if let Ok(mut free) = self.free.lock() {
-            free.push(1);
-        }
-        self.writer.0.lock();
-    }
-}
-";
-        let w = ws(&[("crates/x/src/lib.rs", src)]);
-        let locks = &w.fns[0].locks;
-        assert_eq!(locks.len(), 2);
-        assert_eq!(locks[0].receiver, "free");
-        assert_eq!(locks[1].receiver, "writer", "tuple index is skipped");
-        // First lock's scope is the fn body block (the if-let guard's
-        // pattern position precedes the if-let block).
-        assert!(locks[0].scope.end > locks[1].offset);
-    }
-
-    #[test]
-    fn lock_receiver_survives_rustfmt_wrapped_chains() {
-        let src = "\
-impl Pool {
-    fn take(&self) {
-        let recycled = self
-            .free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        let w = self
-            .writer
-            .0
-            .lock();
-    }
-}
-";
-        let w = ws(&[("crates/x/src/lib.rs", src)]);
-        let locks = &w.fns[0].locks;
-        assert_eq!(locks.len(), 2);
-        assert_eq!(locks[0].receiver, "free");
-        assert_eq!(locks[1].receiver, "writer");
-    }
-
-    #[test]
     fn blocking_facts_distinguish_thread_join_from_path_join() {
         let src = "\
 fn f(h: JoinHandle<()>, p: &Path) {
@@ -714,6 +595,23 @@ fn f(h: JoinHandle<()>, p: &Path) {
         let w = ws(&[("crates/x/src/lib.rs", src)]);
         let whats: Vec<_> = w.fns[0].blocking.iter().map(|s| s.what.as_str()).collect();
         assert_eq!(whats, ["join", "recv", "sleep"], "path join and try_recv excluded");
+    }
+
+    #[test]
+    fn a_spawned_closure_belongs_to_the_thread_it_starts() {
+        let src = "\
+fn start(rx: Receiver<u32>, path: PathBuf) -> JoinHandle<()> {
+    prepare(path.clone());
+    std::thread::Builder::new().spawn(move || {
+        open(&path);
+        rx.recv();
+    })
+}
+";
+        let w = ws(&[("crates/x/src/lib.rs", src)]);
+        let calls: Vec<_> = w.fns[0].calls.iter().map(|c| c.callee.as_str()).collect();
+        assert_eq!(calls, ["prepare", "clone", "new", "spawn"], "not `open`");
+        assert!(w.fns[0].blocking.is_empty(), "so does the `recv`");
     }
 
     #[test]

@@ -1,29 +1,31 @@
-//! The protocol-aware lints.
+//! The protocol-aware lints that need to know the protocol.
 //!
-//! Rule-ID map (see DESIGN.md "Static analysis & invariant enforcement"):
+//! Rule-ID map (see DESIGN.md "Static analysis & invariant enforcement").
+//! L1, L2, L3 and L5 are rules the toolchain can state itself, so they live
+//! where the compiler reads them — `[workspace.lints]`, `clippy.toml` and one
+//! `#![cfg_attr(not(test), deny(clippy::…))]` per scoped crate or module —
+//! and `tools/ci.sh` stage 5 enforces them. L7 (`lock-order`) is retired: no
+//! two locks are ever held together. What is left here:
 //!
 //! | ID  | lint name                  | invariant                                          |
 //! |-----|----------------------------|----------------------------------------------------|
-//! | L1  | `no-panic`                 | protocol paths never panic                          |
 //! | L1b | `no-untrusted-index`       | handler code never `[]`-indexes untrusted lengths   |
-//! | L2  | `determinism`              | simnet-driven crates are bit-for-bit deterministic  |
-//! | L3  | `unsafe-audit`             | `unsafe` confined to the erasure kernel + SAFETY    |
 //! | L4  | `timestamp-discipline`     | timestamps compared only as whole values            |
-//! | L5  | `no-as-truncation`         | no `as` integer casts in quorum/timestamp math      |
-//! | L6  | `log-before-send`          | replies leave a persistence trace before sending    |
-//! | L7  | `lock-order`               | nested lock acquisitions follow the canonical order |
+//! | L6  | `log-before-send`          | the host's turn sends nothing before its commit     |
 //! | L8  | `no-blocking-on-event-loop`| nothing reachable from an event-loop entry blocks   |
 //! | L9  | `untrusted-length-taint`   | wire lengths are guarded before sizing allocations  |
 //!
-//! L1–L6 and L9 are per-file passes; L7 and L8 run over the whole-workspace
-//! call graph ([`crate::graph::Workspace`]). Every lint honours
+//! L8 runs over the whole-workspace call graph ([`crate::graph::Workspace`]),
+//! the rest are per-file passes. Every lint honours
 //! `// xtask-allow(<name>): <reason>` on the flagged line or the line above
 //! (recorded as a *suppressed* diagnostic, which feeds stale-allow
-//! detection), and skips `#[cfg(test)]` modules entirely.
+//! detection), and skips `#[cfg(test)]` modules entirely. The `mutation`
+//! test at the bottom holds each rule to real code: one planted bug it must
+//! catch, one harmless refactor it must let through.
 
 use crate::graph::Workspace;
 use crate::lexer::{is_ident_byte, word_occurrences};
-use crate::model::{LockClass, SourceFile};
+use crate::model::SourceFile;
 
 /// One reported violation. `suppressed` diagnostics matched an
 /// `xtask-allow` directive: they don't fail the run, but they are kept so
@@ -61,29 +63,10 @@ pub struct Lint {
 pub fn registry() -> Vec<Lint> {
     vec![
         Lint {
-            id: "no-panic",
-            rule: "L1",
-            desc: "no unwrap/expect/panic!/unreachable!/todo! in fab-core/fab-simnet protocol code, \
-                   fab-wire decode paths, fab-net reader/server threads, or fab-obs instruments",
-            check: Check::File(no_panic),
-        },
-        Lint {
             id: "no-untrusted-index",
             rule: "L1b",
             desc: "no non-literal [] indexing inside message/state-machine handler or wire-decode functions",
             check: Check::File(no_untrusted_index),
-        },
-        Lint {
-            id: "determinism",
-            rule: "L2",
-            desc: "no wall clocks, OS entropy, threads, or hash-order iteration in simnet-driven crates",
-            check: Check::File(determinism),
-        },
-        Lint {
-            id: "unsafe-audit",
-            rule: "L3",
-            desc: "unsafe only in fab-erasure kernel modules, each block with a SAFETY: comment",
-            check: Check::File(unsafe_audit),
         },
         Lint {
             id: "timestamp-discipline",
@@ -92,22 +75,10 @@ pub fn registry() -> Vec<Lint> {
             check: Check::File(timestamp_discipline),
         },
         Lint {
-            id: "no-as-truncation",
-            rule: "L5",
-            desc: "no `as` integer casts in quorum/timestamp arithmetic (use From/TryFrom)",
-            check: Check::File(no_as_truncation),
-        },
-        Lint {
             id: "log-before-send",
             rule: "L6",
-            desc: "fab-core sends must be preceded by a persistence/log call in the same function",
+            desc: "a brick-host function that commits the turn's records sends nothing before that commit",
             check: Check::File(log_before_send),
-        },
-        Lint {
-            id: "lock-order",
-            rule: "L7",
-            desc: "nested lock acquisitions follow the canonical rank order declared in model.rs",
-            check: Check::Workspace(lock_order),
         },
         Lint {
             id: "no-blocking-on-event-loop",
@@ -142,13 +113,21 @@ pub fn check_file(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Run every workspace lint over the call graph.
-pub fn check_workspace(w: &Workspace, out: &mut Vec<Diagnostic>) {
+/// Run every lint over `files` — the per-file passes, then the workspace
+/// ones over the call graph built from them (which is handed back for
+/// stale-allow detection).
+pub fn check_all(files: Vec<SourceFile>) -> (Workspace, Vec<Diagnostic>) {
+    let mut out = Vec::new();
+    for file in &files {
+        check_file(file, &mut out);
+    }
+    let w = Workspace::build(files);
     for lint in registry() {
         if let Check::Workspace(check) = lint.check {
-            check(w, out);
+            check(&w, &mut out);
         }
     }
+    (w, out)
 }
 
 /// Satellite: detect `xtask-allow` directives that no longer suppress any
@@ -177,68 +156,6 @@ pub fn stale_allows(file: &SourceFile, diags: &[Diagnostic], out: &mut Vec<Diagn
             });
         }
     }
-}
-
-// ---------------------------------------------------------------- scoping --
-
-fn in_core(p: &str) -> bool {
-    p.starts_with("crates/core/src/")
-}
-
-fn in_simnet(p: &str) -> bool {
-    p.starts_with("crates/simnet/src/")
-}
-
-/// Crates whose execution is driven by the deterministic simulator and must
-/// therefore replay bit-for-bit from a seed.
-fn simnet_driven(p: &str) -> bool {
-    in_core(p) || in_simnet(p) || p.starts_with("crates/quorum/src/")
-}
-
-fn kernel_file(p: &str) -> bool {
-    p == "crates/erasure/src/kernel.rs" || p.starts_with("crates/erasure/src/kernel/")
-}
-
-/// Untrusted-input surfaces added by the TCP transport: the whole wire
-/// codec (every byte it reads came off a socket), the fab-net threads
-/// that sit between sockets and the protocol, and the brick host whose
-/// event loop they feed (a panic there kills a brick, which the fault
-/// model only tolerates as a *counted* crash).
-fn untrusted_input(p: &str) -> bool {
-    p.starts_with("crates/wire/src/")
-        || p == "crates/net/src/transport.rs"
-        || p == "crates/net/src/server.rs"
-        || p == "crates/runtime/src/host.rs"
-}
-
-/// The commit path runs on the brick's event loop and holds the only
-/// handle to its durable log; a panic there kills the brick. The host
-/// fences on failure, but the discipline is the same as for protocol code:
-/// typed errors, never panics.
-fn commit_path(p: &str) -> bool {
-    p == "crates/store/src/commit.rs"
-}
-
-/// The repair subsystem: a panic in the planner, driver, or cursor kills a
-/// rebuild mid-flight and strands the degraded stripe set, so it is held
-/// to the protocol bar (typed errors, never panics).
-fn in_repair(p: &str) -> bool {
-    p.starts_with("crates/repair/src/")
-}
-
-/// The sans-io slice of fab-repair (everything but the threaded in-process
-/// harness, which legitimately reads wall clocks): the torture engine
-/// replays the driver on simulated time, so it must stay deterministic.
-fn repair_sans_io(p: &str) -> bool {
-    in_repair(p) && p != "crates/repair/src/inproc.rs"
-}
-
-/// The observability substrate: instruments are recorded from protocol hot
-/// paths (a panic in `Counter::inc` kills a coordinator mid-op) and from
-/// the deterministic torture engine (a wall-clock or hash-order read would
-/// break seed replay), so fab-obs is held to both bars.
-fn in_obs(p: &str) -> bool {
-    p.starts_with("crates/obs/src/")
 }
 
 // ---------------------------------------------------------------- helpers --
@@ -282,46 +199,6 @@ fn next_token_byte(text: &str, mut off: usize) -> Option<(usize, u8)> {
         off += 1;
     }
     None
-}
-
-// ---------------------------------------------------------------- L1 -------
-
-fn no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !(in_core(&file.path)
-        || in_simnet(&file.path)
-        || untrusted_input(&file.path)
-        || commit_path(&file.path)
-        || in_repair(&file.path)
-        || in_obs(&file.path))
-    {
-        return;
-    }
-    for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-        for off in word_occurrences(&file.masked, mac) {
-            let b = file.masked.as_bytes();
-            let after = off + mac.len();
-            if after < b.len() && b[after] == b'!' {
-                push(
-                    file,
-                    out,
-                    "no-panic",
-                    off,
-                    format!("`{mac}!` in protocol code; return a typed error instead"),
-                );
-            }
-        }
-    }
-    for meth in ["unwrap", "expect"] {
-        for off in method_occurrences(file, meth) {
-            push(
-                file,
-                out,
-                "no-panic",
-                off,
-                format!("`.{meth}()` in protocol code; use `?`, `unwrap_or`, or a typed error"),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------- L1b ------
@@ -413,86 +290,6 @@ fn no_untrusted_index(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- L2 -------
-
-fn determinism(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !(simnet_driven(&file.path) || repair_sans_io(&file.path) || in_obs(&file.path)) {
-        return;
-    }
-    let cases: &[(&str, &str)] = &[
-        ("Instant", "wall-clock time; use Effects::now() / simulated time"),
-        ("SystemTime", "wall-clock time; use Effects::now() / simulated time"),
-        ("thread_rng", "OS entropy; use the seeded Effects::rand_u64()"),
-        ("HashMap", "hash-order iteration is nondeterministic; use BTreeMap"),
-        ("HashSet", "hash-order iteration is nondeterministic; use BTreeSet"),
-    ];
-    for (word, why) in cases {
-        for off in word_occurrences(&file.masked, word) {
-            push(
-                file,
-                out,
-                "determinism",
-                off,
-                format!("`{word}` in simnet-driven crate: {why}"),
-            );
-        }
-    }
-    // thread::spawn / std::thread
-    for off in word_occurrences(&file.masked, "spawn") {
-        let before = &file.masked[..off];
-        if before.ends_with("thread::") {
-            push(
-                file,
-                out,
-                "determinism",
-                off,
-                "OS threads in simnet-driven crate break deterministic replay".to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------- L3 -------
-
-fn unsafe_audit(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for off in word_occurrences(&file.masked, "unsafe") {
-        // `unsafe_code` / `unsafe_op_in_unsafe_fn` lint names are excluded by
-        // word boundaries already; attribute text like `deny(unsafe_code)`
-        // never contains the bare word.
-        let line = file.line_of(off);
-        if !kernel_file(&file.path) {
-            push(
-                file,
-                out,
-                "unsafe-audit",
-                off,
-                "`unsafe` outside crates/erasure kernel modules".to_string(),
-            );
-        } else {
-            // An `unsafe fn` declaration states its caller contract in a
-            // `# Safety` doc section, which may sit above the 3-line window
-            // that suffices for `unsafe { .. }` blocks.
-            let after = file.masked.get(off + 6..).unwrap_or("").trim_start();
-            let is_decl = after.starts_with("fn")
-                && !after.as_bytes().get(2).copied().is_some_and(is_ident_byte);
-            if is_decl && file.fn_has_safety_doc(line) {
-                continue;
-            }
-            if !file.has_safety_comment(line) {
-                push(
-                    file,
-                    out,
-                    "unsafe-audit",
-                    off,
-                    "`unsafe` without a `// SAFETY:` comment in the preceding 3 lines \
-                     (or a `# Safety` doc section for an `unsafe fn`)"
-                        .to_string(),
-                );
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------- L4 -------
 
 fn timestamp_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -551,231 +348,49 @@ fn timestamp_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- L5 -------
-
-const INT_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
-fn no_as_truncation(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let scoped = file.path.starts_with("crates/quorum/src/")
-        || file.path.starts_with("crates/timestamp/src/");
-    if !scoped {
-        return;
-    }
-    for off in word_occurrences(&file.masked, "as") {
-        let after = &file.masked[off + 2..];
-        let trimmed = after.trim_start();
-        let Some(ty) = INT_TYPES.iter().find(|t| {
-            trimmed.starts_with(**t)
-                && trimmed[t.len()..]
-                    .bytes()
-                    .next()
-                    .is_none_or(|b| !is_ident_byte(b))
-        }) else {
-            continue;
-        };
-        push(
-            file,
-            out,
-            "no-as-truncation",
-            off,
-            format!("`as {ty}` cast in quorum/timestamp arithmetic; use From/TryFrom (or justify with xtask-allow)"),
-        );
-    }
-}
-
 // ---------------------------------------------------------------- L6 -------
 
-/// Tokens that count as "a persistence/log action happened" before a send.
-/// This is intentionally a heuristic (documented in DESIGN.md): the protocol
-/// invariant is that a replica's reply must not leave the brick before the
-/// corresponding `PersistEvent` is durably recorded (paper §4, crash
-/// recovery), and the replica funnels every state change through
-/// `Replica::handle` / the log/persist APIs.
-const PERSIST_MARKERS: &[&str] = &["persist", "log", "store", "record", "handle"];
-
+/// L6: the paper's replica answers only after `store(var)` (§4, crash
+/// recovery). Since the event loop became the committer, that order lives in
+/// one place — the end of a host turn, `commit` then the held replies — so
+/// the rule is stated there: in the brick host, a function that commits the
+/// turn's records lets nothing out (`send` to a peer, `reply` to a client)
+/// before that call. Function-local on purpose: a reply released by a helper
+/// that is *called* after the commit is fine, and the dynamic half
+/// (conformance (c): no reply while the sync is held) covers what a
+/// token-level rule cannot see.
 fn log_before_send(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !in_core(&file.path) {
+    if file.path != crate::model::HOST_FILE {
         return;
     }
     for f in &file.fns {
-        if f.body.is_empty() {
-            continue;
-        }
-        let sends: Vec<usize> = method_occurrences(file, "send")
-            .into_iter()
-            .filter(|off| f.body.contains(off))
-            .filter(|off| file.enclosing_fn(*off).map(|e| e.start) == Some(f.start))
-            .collect();
-        let Some(&first_send) = sends.first() else {
+        let inside = |off: &usize| f.body.contains(off);
+        let Some(commit) = method_occurrences(file, "commit").into_iter().find(inside) else {
             continue;
         };
-        let prefix = &file.masked[f.body.start..first_send];
-        let persisted = PERSIST_MARKERS
-            .iter()
-            .any(|m| !word_occurrences(prefix, m).is_empty());
-        if !persisted {
-            push(
-                file,
-                out,
-                "log-before-send",
-                first_send,
-                format!(
-                    "`send` in `{}` with no preceding persistence/log call in the same function",
-                    f.name
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------- L7 -------
-
-use std::collections::BTreeMap;
-
-fn class_of(path: &str, receiver: &str) -> Option<&'static LockClass> {
-    crate::model::LOCK_CLASSES
-        .iter()
-        .find(|c| c.receiver == receiver && path.starts_with(c.file_prefix))
-}
-
-fn rank_of(class_key: &str) -> Option<u32> {
-    crate::model::LOCK_CLASSES
-        .iter()
-        .find(|c| c.class == class_key)
-        .map(|c| c.rank)
-}
-
-/// Lock-class keys (class name, or `?receiver` for undeclared receivers)
-/// transitively acquired by each workspace fn, each with a human witness
-/// string. Cycle-safe DFS with memoization.
-fn acquired_classes(w: &Workspace) -> Vec<BTreeMap<String, String>> {
-    fn visit(
-        w: &Workspace,
-        i: usize,
-        memo: &mut Vec<Option<BTreeMap<String, String>>>,
-        on_stack: &mut Vec<bool>,
-    ) -> BTreeMap<String, String> {
-        if let Some(done) = &memo[i] {
-            return done.clone();
-        }
-        if on_stack[i] {
-            return BTreeMap::new(); // cycle: resolved by the other frames
-        }
-        on_stack[i] = true;
-        let f = &w.fns[i];
-        let file = &w.files[f.file];
-        let mut acc = BTreeMap::new();
-        for l in &f.locks {
-            let key = match class_of(&file.path, &l.receiver) {
-                Some(c) => c.class.to_string(),
-                None => format!("?{}", l.receiver),
-            };
-            acc.entry(key).or_insert_with(|| {
-                format!(
-                    "`{}` locked in `{}` ({}:{})",
-                    l.receiver,
-                    f.qual,
-                    file.path,
-                    file.line_of(l.offset)
-                )
-            });
-        }
-        for c in &f.calls {
-            for t in w.resolve(i, c) {
-                for (key, witness) in visit(w, t, memo, on_stack) {
-                    acc.entry(key)
-                        .or_insert_with(|| format!("{} → {witness}", w.fns[t].qual));
+        for way_out in ["send", "reply"] {
+            for off in method_occurrences(file, way_out).into_iter().filter(inside) {
+                if off < commit {
+                    push(
+                        file,
+                        out,
+                        "log-before-send",
+                        off,
+                        format!(
+                            "`{way_out}` in `{}` leaves before the turn's `commit`; an acknowledgement must not outrun its log record",
+                            f.name
+                        ),
+                    );
                 }
             }
         }
-        on_stack[i] = false;
-        memo[i] = Some(acc.clone());
-        acc
     }
-    let mut memo = vec![None; w.fns.len()];
-    let mut on_stack = vec![false; w.fns.len()];
-    (0..w.fns.len())
-        .map(|i| visit(w, i, &mut memo, &mut on_stack))
-        .collect()
-}
-
-/// L7: every *nested* acquisition (a lock taken — directly or via any
-/// resolvable call — while another guard is live) must move strictly
-/// *down* the canonical rank order in `model.rs`. Rank violations and
-/// same-class re-entry are flagged; since the declared order is total,
-/// any cycle in the acquired-under graph necessarily contains a flagged
-/// edge. Undeclared receivers are flagged only when they participate in
-/// nesting — a standalone lock of a local mutex is not an ordering hazard.
-fn lock_order(w: &Workspace, out: &mut Vec<Diagnostic>) {
-    let acquired = acquired_classes(w);
-    let mut local = Vec::new();
-    for (fi, f) in w.fns.iter().enumerate() {
-        let file = &w.files[f.file];
-        for l in &f.locks {
-            let outer = class_of(&file.path, &l.receiver);
-            let outer_key = match outer {
-                Some(c) => c.class.to_string(),
-                None => format!("?{}", l.receiver),
-            };
-            let mut inner_sites: Vec<(usize, String, String)> = Vec::new(); // (offset, key, how)
-            for l2 in &f.locks {
-                if l2.offset > l.offset && l.scope.contains(&l2.offset) {
-                    let key = match class_of(&file.path, &l2.receiver) {
-                        Some(c) => c.class.to_string(),
-                        None => format!("?{}", l2.receiver),
-                    };
-                    inner_sites.push((l2.offset, key, format!("`{}.lock()`", l2.receiver)));
-                }
-            }
-            for c in &f.calls {
-                if c.offset > l.offset && l.scope.contains(&c.offset) {
-                    for t in w.resolve(fi, c) {
-                        for (key, witness) in &acquired[t] {
-                            inner_sites.push((
-                                c.offset,
-                                key.clone(),
-                                format!("call `{}` → {witness}", c.callee),
-                            ));
-                        }
-                    }
-                }
-            }
-            for (off, inner_key, how) in inner_sites {
-                let msg = match (rank_of(&outer_key), rank_of(&inner_key)) {
-                    (None, _) => format!(
-                        "undeclared lock class `{}` held in `{}` while acquiring `{inner_key}` ({how}); \
-                         declare it in LOCK_CLASSES (tools/xtask/src/model.rs)",
-                        l.receiver, f.qual
-                    ),
-                    (_, None) => format!(
-                        "undeclared lock class acquired under `{outer_key}` in `{}` ({how}); \
-                         declare it in LOCK_CLASSES (tools/xtask/src/model.rs)",
-                        f.qual
-                    ),
-                    (Some(ro), Some(ri)) if ri <= ro => format!(
-                        "lock order violation in `{}`: `{inner_key}` (rank {ri}) acquired while \
-                         holding `{outer_key}` (rank {ro}) via {how}; the canonical order requires \
-                         strictly increasing rank",
-                        f.qual
-                    ),
-                    _ => continue,
-                };
-                push(file, &mut local, "lock-order", off, msg);
-            }
-        }
-    }
-    local.sort_by(|a, b| (&a.path, a.line, &a.msg).cmp(&(&b.path, b.line, &b.msg)));
-    local.dedup();
-    out.append(&mut local);
 }
 
 // ---------------------------------------------------------------- L8 -------
 
 /// Witness of the first blocking operation transitively reachable from
-/// each fn (`None` = provably non-blocking under the model). Locks on
-/// classes declared `bounded` do not count.
+/// each fn (`None` = provably non-blocking under the model).
 fn blocking_witnesses(w: &Workspace) -> Vec<Option<String>> {
     fn visit(
         w: &Workspace,
@@ -795,20 +410,6 @@ fn blocking_witnesses(w: &Workspace) -> Vec<Option<String>> {
         let mut res: Option<String> = f.blocking.first().map(|b| {
             format!("`{}` ({}:{})", b.what, file.path, file.line_of(b.offset))
         });
-        if res.is_none() {
-            res = f
-                .locks
-                .iter()
-                .find(|l| !class_of(&file.path, &l.receiver).is_some_and(|c| c.bounded))
-                .map(|l| {
-                    format!(
-                        "lock-wait on `{}` ({}:{})",
-                        l.receiver,
-                        file.path,
-                        file.line_of(l.offset)
-                    )
-                });
-        }
         if res.is_none() {
             'calls: for c in &f.calls {
                 for t in w.resolve(i, c) {
@@ -830,18 +431,20 @@ fn blocking_witnesses(w: &Workspace) -> Vec<Option<String>> {
         .collect()
 }
 
-/// L8: nothing blocking — fsync, channel wait, unbounded lock-wait, sleep,
-/// thread join — may be reachable from a declared event-loop entry point.
-/// (The host's one wait on the disk, `Host::commit_turn`, is under `run`.)
+/// L8: nothing blocking — fsync, channel wait, lock wait, sleep, thread
+/// join — may be reachable from a declared event-loop entry point. (The
+/// host's one wait on the disk, `Host::commit_turn`, is under `run`.)
 /// Diagnostics anchor at the offending site inside the entry itself (so an
-/// `xtask-allow` goes next to the decision), with the witness chain.
+/// `xtask-allow` goes next to the decision), with the witness chain; a call
+/// from one entry to another is the callee's to report.
 fn no_blocking_on_event_loop(w: &Workspace, out: &mut Vec<Diagnostic>) {
     let witnesses = blocking_witnesses(w);
     let mut local = Vec::new();
-    for (path, qual) in crate::model::EVENT_LOOP_ENTRIES {
-        let Some(e) = w.fn_by_qual(path, qual) else {
-            continue;
-        };
+    let entries: Vec<usize> = crate::model::EVENT_LOOP_ENTRIES
+        .iter()
+        .filter_map(|(path, qual)| w.fn_by_qual(path, qual))
+        .collect();
+    for &e in &entries {
         let f = &w.fns[e];
         let file = &w.files[f.file];
         for b in &f.blocking {
@@ -856,23 +459,11 @@ fn no_blocking_on_event_loop(w: &Workspace, out: &mut Vec<Diagnostic>) {
                 ),
             );
         }
-        for l in &f.locks {
-            if class_of(&file.path, &l.receiver).is_some_and(|c| c.bounded) {
-                continue;
-            }
-            push(
-                file,
-                &mut local,
-                "no-blocking-on-event-loop",
-                l.offset,
-                format!(
-                    "lock-wait on `{}` (not a declared bounded class) in event-loop entry `{}`",
-                    l.receiver, f.qual
-                ),
-            );
-        }
         for c in &f.calls {
             for t in w.resolve(e, c) {
+                if entries.contains(&t) {
+                    continue;
+                }
                 if let Some(chain) = &witnesses[t] {
                     push(
                         file,
@@ -1258,119 +849,6 @@ mod tests {
 
     const CORE: &str = "crates/core/src/coordinator.rs";
 
-    // ------------------------------------------------------------ L1 -------
-
-    #[test]
-    fn l1_fires_on_seeded_violations() {
-        let src = "\
-fn on_reply(&mut self) {
-    let op = self.ops.get(&id).expect(\"live op\");
-    let ts = op.ts.unwrap();
-    match phase {
-        Phase::Done => unreachable!(\"no progress after completion\"),
-        _ => panic!(\"bad phase\"),
-    }
-}
-";
-        let d = run_lint("no-panic", CORE, src);
-        assert_eq!(d.len(), 4, "expect/unwrap/unreachable!/panic! all fire: {d:?}");
-        assert!(d.iter().all(|x| x.lint == "no-panic"));
-        assert_eq!(d[0].path, CORE);
-    }
-
-    #[test]
-    fn l1_silent_on_clean_code_and_out_of_scope() {
-        let clean = "\
-fn on_reply(&mut self) -> Result<(), ProtocolError> {
-    let op = self.ops.get(&id).ok_or(ProtocolError::UnknownOp(id))?;
-    let ts = op.ts.unwrap_or_default();
-    Ok(())
-}
-";
-        assert!(run_lint("no-panic", CORE, clean).is_empty());
-        // Same panicky source in an unscoped crate: silent.
-        let src = "fn f() { x.unwrap(); panic!(\"boom\"); }";
-        assert!(run_lint("no-panic", "crates/erasure/src/gf256.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l1_skips_tests_and_honours_allow() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    fn t() { x.unwrap(); }
-}
-fn on_timer() {
-    // xtask-allow(no-panic): timer ids are minted by this map two lines up
-    let t = self.timers.remove(&id).unwrap();
-}
-";
-        assert!(run_lint("no-panic", CORE, src).is_empty());
-    }
-
-    #[test]
-    fn l1_not_fooled_by_strings_or_comments() {
-        let src = "\
-fn on_read() {
-    // a comment that says panic!(\"nope\") and .unwrap()
-    let msg = \"do not panic!(this) or .unwrap() me\";
-    let ok = value.unwrap_or(0); // unwrap_or is fine
-}
-";
-        assert!(run_lint("no-panic", CORE, src).is_empty());
-    }
-
-    #[test]
-    fn l1_covers_wire_decode_and_net_threads() {
-        // A decoder that panics on hostile bytes is a remote crash: the wire
-        // crate, the fab-net socket threads and the brick host they feed
-        // are in L1 scope.
-        let src = "\
-fn decode_frame(buf: &[u8]) -> Message {
-    let kind = FrameKind::decode(tag).unwrap();
-    if buf.len() < HEADER_LEN { panic!(\"short frame\"); }
-    parse(buf).expect(\"valid body\")
-}
-";
-        // The commit path is held to the same bar: it runs on the event
-        // loop, so a panic there kills the brick.
-        for path in [
-            "crates/wire/src/frame.rs",
-            "crates/net/src/transport.rs",
-            "crates/net/src/server.rs",
-            "crates/runtime/src/host.rs",
-            "crates/store/src/commit.rs",
-        ] {
-            let d = run_lint("no-panic", path, src);
-            assert_eq!(d.len(), 3, "{path}: {d:?}");
-        }
-        // fab-net's client and binaries stay out of scope (operator-facing,
-        // allowed to abort on local misconfiguration).
-        assert!(run_lint("no-panic", "crates/net/src/client.rs", src).is_empty());
-        assert!(run_lint("no-panic", "crates/net/src/bin/fabd.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l1_covers_repair_subsystem() {
-        // A panic in the rebuild path strands the degraded stripe set; the
-        // whole crate (threaded harness included) is held to the protocol bar.
-        let src = "\
-fn on_scrub_result(&mut self, stripe: StripeId) {
-    let entry = self.entries.get_mut(&stripe).unwrap();
-    if entry.attempts > self.cfg.max_attempts { panic!(\"retry overflow\"); }
-}
-";
-        for path in [
-            "crates/repair/src/driver.rs",
-            "crates/repair/src/planner.rs",
-            "crates/repair/src/cursor.rs",
-            "crates/repair/src/inproc.rs",
-        ] {
-            let d = run_lint("no-panic", path, src);
-            assert_eq!(d.len(), 2, "{path}: {d:?}");
-        }
-    }
-
     // ------------------------------------------------------------ L1b ------
 
     #[test]
@@ -1470,123 +948,6 @@ fn helper(&mut self, idx: usize) {
         assert!(run_lint("no-untrusted-index", CORE, src).is_empty());
     }
 
-    // ------------------------------------------------------------ L2 -------
-
-    #[test]
-    fn l2_fires_on_nondeterminism_sources() {
-        let src = "\
-use std::collections::{HashMap, HashSet};
-fn f() {
-    let t = std::time::Instant::now();
-    let r = rand::thread_rng();
-    std::thread::spawn(|| {});
-}
-";
-        let d = run_lint("determinism", "crates/simnet/src/sim.rs", src);
-        // HashMap + HashSet (use) + Instant + thread_rng + spawn = 5
-        assert_eq!(d.len(), 5, "{d:?}");
-    }
-
-    #[test]
-    fn l2_silent_on_btree_and_unscoped_crates() {
-        let src = "use std::collections::BTreeMap;\nfn f() { let m: BTreeMap<u32, u32> = BTreeMap::new(); }\n";
-        assert!(run_lint("determinism", "crates/core/src/brick.rs", src).is_empty());
-        let src2 = "fn f() { let m = std::collections::HashMap::<u32, u32>::new(); }";
-        assert!(
-            run_lint("determinism", "crates/runtime/src/host.rs", src2).is_empty(),
-            "the wall-clock brick host may use real clocks/maps"
-        );
-    }
-
-    #[test]
-    fn l2_covers_sans_io_repair_but_not_the_threaded_harness() {
-        // The torture engine replays the repair driver on simulated time, so
-        // the sans-io files must be deterministic; the in-process harness
-        // runs on real threads and may read wall clocks.
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        let d = run_lint("determinism", "crates/repair/src/driver.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(run_lint("determinism", "crates/repair/src/inproc.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l1_and_l2_cover_the_obs_substrate() {
-        // Instruments are recorded from protocol hot paths and replayed by
-        // the deterministic torture engine, so fab-obs is in both scopes.
-        let panicky = "fn record(&self) { self.cell.get().unwrap(); panic!(\"boom\"); }";
-        let d = run_lint("no-panic", "crates/obs/src/lib.rs", panicky);
-        assert_eq!(d.len(), 2, "{d:?}");
-        let clocky = "fn f() { let t = std::time::Instant::now(); }";
-        let d = run_lint("determinism", "crates/obs/src/lib.rs", clocky);
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    // ------------------------------------------------------------ L3 -------
-
-    #[test]
-    fn l3_confines_unsafe_to_kernel() {
-        let src = "fn f(p: *const u8) { unsafe { p.read() }; }";
-        let d = run_lint("unsafe-audit", "crates/core/src/replica.rs", src);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].msg.contains("outside"));
-    }
-
-    #[test]
-    fn l3_requires_safety_comment_in_kernel() {
-        let bare = "fn f(p: *const u8) { unsafe { p.read() }; }";
-        let d = run_lint("unsafe-audit", "crates/erasure/src/kernel.rs", bare);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].msg.contains("SAFETY"));
-
-        let documented = "\
-fn f(p: *const u8) {
-    // SAFETY: caller guarantees `p` is valid for one byte.
-    unsafe { p.read() };
-}
-";
-        assert!(run_lint("unsafe-audit", "crates/erasure/src/kernel.rs", documented).is_empty());
-    }
-
-    #[test]
-    fn l3_accepts_safety_doc_section_on_unsafe_fn() {
-        // The `# Safety` header may sit well above the `fn` line when the
-        // contract text is long; the contiguous doc/attribute block counts.
-        let documented = "\
-/// Multiplies in place.
-///
-/// # Safety
-///
-/// Caller must ensure the feature is available, lengths match,
-/// and the length is a multiple of 16.
-#[target_feature(enable = \"ssse3\")]
-pub(super) unsafe fn mul(acc: &mut [u8]) { todo!() }
-";
-        assert!(
-            run_lint("unsafe-audit", "crates/erasure/src/kernel.rs", documented).is_empty()
-        );
-
-        // No `# Safety` section anywhere in the doc block: still flagged.
-        let undocumented = "\
-/// Multiplies in place, trust me.
-#[inline]
-pub(super) unsafe fn mul(acc: &mut [u8]) { todo!() }
-";
-        let d = run_lint("unsafe-audit", "crates/erasure/src/kernel.rs", undocumented);
-        assert_eq!(d.len(), 1, "{d:?}");
-
-        // The doc-block walk stops at the first code line: a `# Safety`
-        // belonging to a *previous* item does not leak downward.
-        let unrelated = "\
-/// # Safety
-/// For the other function.
-unsafe fn a() { todo!() }
-
-pub(super) unsafe fn b(acc: &mut [u8]) { todo!() }
-";
-        let d = run_lint("unsafe-audit", "crates/erasure/src/kernel.rs", unrelated);
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
     // ------------------------------------------------------------ L4 -------
 
     #[test]
@@ -1617,67 +978,27 @@ fn newer(a: Timestamp, b: Timestamp) -> bool { a > b }
         assert!(run_lint("timestamp-discipline", "crates/timestamp/src/lib.rs", inside).is_empty());
     }
 
-    // ------------------------------------------------------------ L5 -------
-
-    #[test]
-    fn l5_fires_on_integer_casts_only_in_scope() {
-        let src = "fn f(n: usize) -> u32 { n as u32 }";
-        let d = run_lint("no-as-truncation", "crates/quorum/src/lib.rs", src);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].msg.contains("as u32"));
-        assert!(run_lint("no-as-truncation", "crates/erasure/src/gf256.rs", src).is_empty());
-        // `as` for trait casts / f64 is untouched.
-        let other = "fn g(x: u32) -> f64 { x as f64 }";
-        assert!(run_lint("no-as-truncation", "crates/quorum/src/lib.rs", other).is_empty());
-    }
-
-    // ------------------------------------------------------------ L6 -------
-
-    #[test]
-    fn l6_fires_on_send_without_persist() {
-        let src = "\
-fn on_message(&mut self, ctx: &mut Context) {
-    let reply = compute();
-    ctx.send(peer, reply);
-}
-";
-        let d = run_lint("log-before-send", "crates/core/src/brick.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].msg.contains("on_message"));
-    }
-
-    #[test]
-    fn l6_silent_when_persistence_precedes_send() {
-        let src = "\
-fn on_message(&mut self, ctx: &mut Context) {
-    let reply = self.replica.handle(&req);
-    ctx.send(peer, reply);
-}
-";
-        assert!(run_lint("log-before-send", "crates/core/src/brick.rs", src).is_empty());
-    }
-
     // ------------------------------------------------------- suppression ---
 
     #[test]
     fn allow_suppresses_and_malformed_allow_reported() {
         let src = "\
-fn on_message(&mut self, ctx: &mut Context) {
-    // xtask-allow(log-before-send): coordinator state is volatile by design
-    ctx.send(peer, env);
+fn on_write(&mut self, idx: usize) {
+    // xtask-allow(no-untrusted-index): idx was range-checked by the caller
+    let b = self.blocks[idx];
 }
-// xtask-allow(log-before-send)
-fn on_other(&mut self, ctx: &mut Context) {
-    let reply = self.replica.handle(&req);
-    ctx.send(peer, reply);
+// xtask-allow(no-untrusted-index)
+fn on_other(&mut self) {
+    let b = self.blocks.get(0);
 }
 ";
-        let file = SourceFile::parse("crates/core/src/brick.rs", src);
+        let file = SourceFile::parse(CORE, src);
         let mut out = Vec::new();
         check_file(&file, &mut out);
-        let l6: Vec<_> = out.iter().filter(|d| d.lint == "log-before-send").collect();
-        assert_eq!(l6.len(), 1, "finding is kept but marked suppressed: {l6:?}");
-        assert!(l6[0].suppressed);
+        let l1b = "no-untrusted-index";
+        let hits: Vec<_> = out.iter().filter(|d| d.lint == l1b).collect();
+        assert_eq!(hits.len(), 1, "kept, marked suppressed: {hits:?}");
+        assert!(hits[0].suppressed);
         let malformed: Vec<_> = out.iter().filter(|d| d.lint == "malformed-allow").collect();
         assert_eq!(malformed.len(), 1, "reason-less allow is itself flagged");
     }
@@ -1685,168 +1006,58 @@ fn on_other(&mut self, ctx: &mut Context) {
     #[test]
     fn stale_allow_detected_and_live_allow_spared() {
         let src = "\
-fn on_message(&mut self, ctx: &mut Context) {
-    // xtask-allow(log-before-send): coordinator state is volatile by design
-    ctx.send(peer, env);
+fn on_write(&mut self, idx: usize) {
+    // xtask-allow(no-untrusted-index): idx was range-checked by the caller
+    let b = self.blocks[idx];
 }
 fn on_quiet(&mut self) {
-    // xtask-allow(no-panic): nothing here panics any more after the refactor
+    // xtask-allow(timestamp-discipline): nothing here compares any more after the refactor
     let x = compute();
 }
 #[cfg(test)]
 mod tests {
-    // xtask-allow(no-panic): test-module allows are out of lint scope
+    // xtask-allow(timestamp-discipline): test-module allows are out of lint scope
     fn t() {}
 }
 ";
-        let file = SourceFile::parse("crates/core/src/brick.rs", src);
+        let file = SourceFile::parse(CORE, src);
         let mut diags = Vec::new();
         check_file(&file, &mut diags);
         let mut stale = Vec::new();
         stale_allows(&file, &diags, &mut stale);
         assert_eq!(stale.len(), 1, "{stale:?}");
         assert_eq!(stale[0].lint, "stale-allow");
-        assert_eq!(stale[0].line, 6, "the no-panic allow that suppresses nothing");
-        assert!(stale[0].msg.contains("no-panic"));
+        assert_eq!(stale[0].line, 6, "the allow that suppresses nothing");
+        assert!(stale[0].msg.contains("timestamp-discipline"));
         assert!(!stale[0].suppressed, "stale allows always fail the run");
     }
 
     #[test]
     fn diagnostics_carry_file_line_and_rule_id() {
-        let src = "fn on_reply(&mut self) {\n    let x = y.unwrap();\n}\n";
-        let d = run_lint("no-panic", CORE, src);
+        let src = "fn on_reply(&mut self) {\n    let x = a.ticks() < b.ticks();\n}\n";
+        let d = run_lint("timestamp-discipline", CORE, src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 2);
-        assert_eq!(format!("{}", d[0]),
-            format!("{CORE}:2: [no-panic] `.unwrap()` in protocol code; use `?`, `unwrap_or`, or a typed error"));
-    }
-
-    // ------------------------------------------------------------ L7 -------
-
-    const NET: &str = "crates/net/src/transport.rs";
-
-    #[test]
-    fn l7_fires_on_rank_inversion_direct_and_via_call() {
-        // Direct nesting: client-stream (rank 1) held while taking
-        // conn-registry (rank 0) — inverted.
-        let direct = "\
-impl Hub {
-    fn notify(&self) {
-        let mut w = self.writer.lock().unwrap();
-        let reg = self.registry.lock().unwrap();
-        w.notify(reg.len());
-    }
-}
-";
-        let d = run_workspace_lint("lock-order", &[(NET, direct)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 4, "anchored at the inner acquisition");
-        assert!(d[0].msg.contains("rank 0"));
-        assert!(d[0].msg.contains("rank 1"));
-
-        // Interprocedural: cluster-handles (rank 2, crates/runtime) held
-        // across a call into crates/net that takes conn-registry (rank 0).
-        let runtime = "\
-impl Cluster {
-    fn shutdown(&self) {
-        let h = self.handles.lock().unwrap();
-        drop_all(h.len());
-    }
-}
-";
-        let net = "\
-fn drop_all(n: usize) {
-    let reg = GLOBAL.registry.lock().unwrap();
-    reg.truncate(n);
-}
-";
-        let d = run_workspace_lint(
-            "lock-order",
-            &[("crates/runtime/src/lib.rs", runtime), ("crates/net/src/server.rs", net)],
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].path, "crates/runtime/src/lib.rs");
-        assert!(d[0].msg.contains("call `drop_all`"), "{}", d[0].msg);
-    }
-
-    #[test]
-    fn l7_silent_on_canonical_order_and_disjoint_guards() {
-        // conn-registry (0) then client-stream (1): strictly increasing.
-        let ordered = "\
-impl Hub {
-    fn route(&self) {
-        let reg = self.registry.lock().unwrap();
-        let w = self.writer.lock().unwrap();
-        w.notify(reg.len());
-    }
-}
-";
-        assert!(run_workspace_lint("lock-order", &[(NET, ordered)]).is_empty());
-
-        // Inverted classes but in disjoint scopes: no nesting, no finding.
-        let disjoint = "\
-impl Hub {
-    fn route(&self) {
-        {
-            let w = self.writer.lock().unwrap();
-            w.flush();
-        }
-        let reg = self.registry.lock().unwrap();
-        reg.clear();
-    }
-}
-";
-        assert!(run_workspace_lint("lock-order", &[(NET, disjoint)]).is_empty());
-    }
-
-    #[test]
-    fn l7_undeclared_class_flagged_only_when_nested_and_allow_works() {
-        // A standalone local mutex is not an ordering hazard.
-        let standalone = "\
-fn tally(counters: &Mutex<u32>) {
-    let mut c = counters.lock().unwrap();
-    *c += 1;
-}
-";
-        assert!(run_workspace_lint("lock-order", &[(NET, standalone)]).is_empty());
-
-        // The same receiver nested under a declared class is flagged…
-        let nested = "\
-impl Hub {
-    fn route(&self) {
-        let reg = self.registry.lock().unwrap();
-        let c = self.counters.lock().unwrap();
-    }
-}
-";
-        let d = run_workspace_lint("lock-order", &[(NET, nested)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].msg.contains("declare it in LOCK_CLASSES"), "{}", d[0].msg);
-
-        // …and an xtask-allow on the inner acquisition suppresses it.
-        let allowed = "\
-impl Hub {
-    fn route(&self) {
-        let reg = self.registry.lock().unwrap();
-        // xtask-allow(lock-order): counters is a leaf mutex never held across a call
-        let c = self.counters.lock().unwrap();
-    }
-}
-";
-        assert!(run_workspace_lint("lock-order", &[(NET, allowed)]).is_empty());
+        assert!(format!("{}", d[0]).starts_with(&format!("{CORE}:2: [timestamp-discipline] ")));
     }
 
     // ------------------------------------------------------------ L8 -------
 
-    const HOST: &str = "crates/runtime/src/host.rs";
+    use crate::model::HOST_FILE as HOST;
 
     #[test]
-    fn l8_silent_on_bounded_locks_and_non_entry_blocking() {
+    fn l8_counts_a_lock_as_a_wait_and_reports_each_entry_once() {
         let src = "\
 impl Tcp {
-    fn send_reply(&mut self, writer: &ClientWriter) {
-        let w = writer.lock().unwrap();
-        w.enqueue(&self.scratch);
+    fn control(&mut self, admin: Admin) {
+        let result = self.handle_admin(&admin.op);
+        self.send_reply(&admin.writer, result);
+    }
+    fn handle_admin(&mut self, op: &AdminOp) -> Reply {
+        self.registry.lock()
+    }
+    fn send_reply(&mut self, writer: &ClientWriter, reply: Reply) {
+        self.scratch.clear();
     }
 }
 fn writer_loop(rx: &Receiver<Frame>) {
@@ -1855,11 +1066,15 @@ fn writer_loop(rx: &Receiver<Frame>) {
     }
 }
 ";
-        // `writer` is a declared bounded class in crates/net; `writer_loop`
-        // blocks but is not an event-loop entry and is not reachable from
-        // one.
+        // `writer_loop` blocks, but it is neither an entry nor reachable
+        // from one. The lock is, twice over — and is reported once, where
+        // it is taken: `control`'s call into a fellow entry is not news.
         let server = "crates/net/src/server.rs";
-        assert!(run_workspace_lint("no-blocking-on-event-loop", &[(server, src)]).is_empty());
+        let d = run_workspace_lint("no-blocking-on-event-loop", &[(server, src)]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 7);
+        let verdict = "`lock` blocks event-loop entry `Tcp::handle_admin`";
+        assert!(d[0].msg.contains(verdict), "{}", d[0].msg);
     }
 
     #[test]
@@ -1960,5 +1175,136 @@ fn decode(r: &mut Reader) -> Result<Frame, WireError> {
         let all = run_lint_all("untrusted-length-taint", CODEC, src);
         assert_eq!(all.len(), 1, "{all:?}");
         assert!(all[0].suppressed);
+    }
+
+    // ---------------------------------------------- mutation on real code --
+
+    /// `rule`'s unsuppressed findings over the workspace as `cargo xtask
+    /// analyze` reads it, with `from` in `path` replaced by `to` in memory.
+    fn findings(rule: &str, path: &str, from: &str, to: &str) -> Vec<Diagnostic> {
+        let root = crate::workspace_root();
+        let files: Vec<SourceFile> = crate::default_targets(&root)
+            .iter()
+            .map(|f| {
+                let rel = crate::rel_path(&root, f);
+                let mut raw = std::fs::read_to_string(f).expect("readable source");
+                if rel == path {
+                    assert_eq!(raw.matches(from).count(), 1, "{path}: `{from}` moved");
+                    raw = raw.replace(from, to);
+                }
+                SourceFile::parse(&rel, &raw)
+            })
+            .collect();
+        let (_, mut out) = check_all(files);
+        out.retain(|d| d.lint == rule && !d.suppressed);
+        out
+    }
+
+    /// One rule held to real code: the tree as it stands is clean, `bug`
+    /// in place of `from` is caught, `refactor` in place of `from` is not.
+    struct Mutation {
+        rule: &'static str,
+        path: &'static str,
+        from: &'static str,
+        bug: &'static str,
+        refactor: &'static str,
+    }
+
+    const COMMIT_THEN_SEND: &str = "\
+        if stats.commit(store, &self.records).is_err() {
+            // Never ack state that did not reach disk.
+            return self.fence();
+        }
+        self.records.clear();
+        for (to, env) in self.replies.drain(..) {
+            self.io.transport.send(to, env);
+        }
+";
+    /// ROADMAP 2(c)'s mutation: the same lines, the loop first.
+    const SEND_THEN_COMMIT: &str = "\
+        for (to, env) in self.replies.drain(..) {
+            self.io.transport.send(to, env);
+        }
+        if stats.commit(store, &self.records).is_err() {
+            // Never ack state that did not reach disk.
+            return self.fence();
+        }
+        self.records.clear();
+";
+    const COMMIT_THEN_HELPER: &str = "\
+        if stats.commit(store, &self.records).is_err() {
+            // Never ack state that did not reach disk.
+            return self.fence();
+        }
+        self.records.clear();
+        self.release_held_replies();
+";
+
+    const MUTATIONS: &[Mutation] = &[
+        // A peer id off the wire indexes the reply table.
+        Mutation {
+            rule: "no-untrusted-index",
+            path: "crates/core/src/coordinator.rs",
+            from: "op.replies.get_mut(from.index())",
+            bug: "Some(&mut op.replies[from.index()])",
+            refactor: "op.replies.iter_mut().nth(from.index())",
+        },
+        // The process-id tiebreak is lost.
+        Mutation {
+            rule: "timestamp-discipline",
+            path: "crates/core/src/replica.rs",
+            from: "let status = val_ts >= self.ord_ts;",
+            bug: "let status = val_ts.ticks() >= self.ord_ts.ticks();",
+            refactor: "let status = self.ord_ts <= val_ts;",
+        },
+        Mutation {
+            rule: "log-before-send",
+            path: HOST,
+            from: COMMIT_THEN_SEND,
+            bug: SEND_THEN_COMMIT,
+            refactor: COMMIT_THEN_HELPER,
+        },
+        // A handler syncs for itself instead of leaving it to the turn.
+        Mutation {
+            rule: "no-blocking-on-event-loop",
+            path: HOST,
+            from: "let reply = replica.handle(req);",
+            bug: "let reply = replica.handle(req);\n        self.commit_turn();",
+            refactor: "let reply = replica.handle(req);\n        let _ = self.inbox.try_recv();",
+        },
+        // The bug this table found: `RepairStart` opened (and could fsync)
+        // the repair cursor on the event loop.
+        Mutation {
+            rule: "no-blocking-on-event-loop",
+            path: "crates/repair/src/inproc.rs",
+            from: "let plan_hash = plan.hash;",
+            bug: "let plan_hash = plan.hash;\n        let early = RepairCursor::open(&PathBuf::new(), plan_hash);",
+            refactor: "let plan_hash = plan.hash;\n        let started = Instant::now();",
+        },
+        // The length check next to the allocation it protects goes away.
+        Mutation {
+            rule: "untrusted-length-taint",
+            path: "crates/net/src/transport.rs",
+            from: "if body_len > MAX_BODY_LEN {",
+            bug: "if false {",
+            refactor: "if MAX_BODY_LEN < body_len {",
+        },
+    ];
+
+    #[test]
+    fn every_rule_catches_its_bug_in_real_code_and_spares_the_refactor() {
+        for rule in registry() {
+            let id = rule.id;
+            assert!(MUTATIONS.iter().any(|m| m.rule == id), "{id}: no mutation");
+        }
+        for m in MUTATIONS {
+            let (rule, path) = (m.rule, m.path);
+            let clean = findings(rule, path, m.from, m.from);
+            assert!(clean.is_empty(), "{rule} on the clean tree: {clean:?}");
+            let caught = findings(rule, path, m.from, m.bug);
+            assert!(!caught.is_empty(), "{rule} missed `{}` in {path}", m.bug);
+            let spared = findings(rule, path, m.from, m.refactor);
+            assert!(spared.is_empty(), "{rule} on `{}`: {spared:?}", m.refactor);
+        }
     }
 }

@@ -3,12 +3,13 @@
 //! Subcommands:
 //!
 //! * `analyze [--list] [--json] [PATH ...]` — run the protocol-aware
-//!   static-analysis pass (lints L1–L9, see `lints.rs`, `graph.rs` and
-//!   DESIGN.md) over the workspace sources. L1–L6 and L9 are per-file
-//!   passes; L7 (lock order) and L8 (no blocking on the event loop) run
-//!   over a whole-workspace call graph. Exits non-zero if any unsuppressed
-//!   violation — or any stale `xtask-allow` — is found. With explicit
-//!   PATHs, analyzes only those files/directories (workspace lints then see
+//!   static-analysis pass over the workspace sources: the rules that need
+//!   to know the protocol (L1b, L4, L6, L8, L9; see `lints.rs`, `graph.rs`
+//!   and DESIGN.md — L1, L2, L3 and L5 are clippy's, `tools/ci.sh` stage
+//!   5). L8 (no blocking on the event loop) runs over a whole-workspace
+//!   call graph, the rest are per-file passes. Exits non-zero if any
+//!   unsuppressed violation — or any stale `xtask-allow` — is found. With
+//!   explicit PATHs, analyzes only those files/directories (L8 then sees
 //!   only that slice of the graph). `--json` emits deterministically-sorted
 //!   machine-readable diagnostics, suppressed ones included.
 //!
@@ -116,7 +117,6 @@ fn analyze(args: &[String]) -> ExitCode {
         files
     };
 
-    let mut diags: Vec<Diagnostic> = Vec::new();
     let mut parsed: Vec<SourceFile> = Vec::new();
     for path in &files {
         let Ok(raw) = std::fs::read_to_string(path) else {
@@ -130,7 +130,6 @@ fn analyze(args: &[String]) -> ExitCode {
                 println!("{rel}:{}: allow({}) — {}", a.line, a.lint, a.reason);
             }
         }
-        lints::check_file(&file, &mut diags);
         parsed.push(file);
     }
     if list_allows {
@@ -138,11 +137,10 @@ fn analyze(args: &[String]) -> ExitCode {
     }
     let analyzed = parsed.len();
 
-    // Workspace lints (L7/L8) need the whole call graph, then stale-allow
+    // The workspace lint (L8) needs the whole call graph, then stale-allow
     // detection needs every diagnostic — suppressed ones included — so an
     // allow matching *any* finding counts as live.
-    let workspace = graph::Workspace::build(parsed);
-    lints::check_workspace(&workspace, &mut diags);
+    let (workspace, mut diags) = lints::check_all(parsed);
     let mut stale = Vec::new();
     for file in &workspace.files {
         lints::stale_allows(file, &diags, &mut stale);
@@ -166,7 +164,7 @@ fn analyze(args: &[String]) -> ExitCode {
     }
     if unsuppressed == 0 {
         println!(
-            "xtask analyze: {analyzed} files clean (lints L1-L9, 0 violations, {suppressed} suppressed)"
+            "xtask analyze: {analyzed} files clean (rules L1b L4 L6 L8 L9, 0 violations, {suppressed} suppressed)"
         );
         ExitCode::SUCCESS
     } else {
@@ -258,7 +256,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: cargo xtask <analyze|loc> [ARGS ...]");
             eprintln!();
-            eprintln!("  analyze   run the protocol-aware static-analysis pass (L1-L9)");
+            eprintln!("  analyze   run the protocol-aware lints (rules L1b L4 L6 L8 L9)");
             eprintln!("    --list    print the lint registry and exit");
             eprintln!("    --allows  audit every xtask-allow suppression and its reason");
             eprintln!("    --json    emit deterministically-sorted machine-readable diagnostics");

@@ -34,7 +34,6 @@ pub struct SourceFile {
     /// `crates/core/src/replica.rs`). Lint scoping keys off this.
     pub path: String,
     pub masked: String,
-    pub comments: Vec<Comment>,
     pub fns: Vec<FnSpan>,
     pub allows: Vec<Allow>,
     /// Allow directives missing the `: <reason>` part — reported as
@@ -56,7 +55,6 @@ impl SourceFile {
         SourceFile {
             path: path.to_string(),
             masked: m.text,
-            comments: m.comments,
             fns,
             allows,
             malformed_allows,
@@ -93,59 +91,6 @@ impl SourceFile {
             .any(|a| a.lint == lint && (a.line == line || a.line + 1 == line))
     }
 
-    /// Innermost function body containing `offset`.
-    pub fn enclosing_fn(&self, offset: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.contains(&offset))
-            .min_by_key(|f| f.body.end - f.body.start)
-    }
-
-    /// Is there a `SAFETY:` comment on the given line or within the three
-    /// lines above it? (Doc `# Safety` sections also count, for `unsafe fn`
-    /// caller contracts.)
-    pub fn has_safety_comment(&self, line: usize) -> bool {
-        self.comments.iter().any(|c| {
-            c.line + 3 >= line
-                && c.line <= line
-                && (c.text.starts_with("SAFETY:") || c.text.starts_with("# Safety"))
-        })
-    }
-
-    /// Masked text of 1-based `line` (comments and strings blanked).
-    pub fn masked_line(&self, line: usize) -> &str {
-        let start = self.line_starts.get(line.wrapping_sub(1)).copied().unwrap_or(0);
-        let end = self
-            .line_starts
-            .get(line)
-            .copied()
-            .unwrap_or(self.masked.len());
-        self.masked.get(start..end).unwrap_or("")
-    }
-
-    /// Does the `unsafe fn` declared at `line` carry a `# Safety` doc
-    /// section (or `SAFETY:` comment) anywhere in the contiguous block of
-    /// doc comments and attributes directly above it? Declarations state
-    /// their caller contract in docs, which may exceed the 3-line window
-    /// that suffices for `unsafe { .. }` blocks.
-    pub fn fn_has_safety_doc(&self, line: usize) -> bool {
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if let Some(c) = self.comments.iter().find(|c| c.line == l) {
-                if c.text.starts_with("# Safety") || c.text.starts_with("SAFETY:") {
-                    return true;
-                }
-                continue; // keep walking up through the doc block
-            }
-            let t = self.masked_line(l).trim();
-            if t.starts_with("#[") || t.starts_with("#!") {
-                continue; // attributes sit between the docs and `fn`
-            }
-            return false;
-        }
-        false
-    }
 }
 
 fn parse_allows(comments: &[Comment]) -> (Vec<Allow>, Vec<usize>) {
@@ -312,7 +257,7 @@ fn find_fns(masked: &str) -> Vec<FnSpan> {
 }
 
 // ------------------------------------------------------------------------
-// Workspace concurrency model — the declarations L7/L8/L9 check against.
+// Workspace concurrency model — the declarations L8/L9 check against.
 // These live here (not in the lint code) so the *policy* is one screen of
 // reviewable facts while the engine in `graph.rs`/`lints.rs` stays generic.
 // ------------------------------------------------------------------------
@@ -320,51 +265,28 @@ fn find_fns(masked: &str) -> Vec<FnSpan> {
 /// Crates that contribute nothing to the call graph: dev harnesses whose
 /// helper names (`send`, `recv`, `lock`, …) would pollute bare-name
 /// resolution, and client-side glue that never runs on a brick's event
-/// loop. Files here are still linted by the per-file rules L1–L6.
+/// loop. Files here are still linted by the per-file rules.
 pub const GRAPH_EXCLUDED_PREFIXES: &[&str] = &[
     "crates/torture/", // fault-campaign harness
     "crates/bench/",   // benchmark drivers
     "crates/volume/",  // client-side volume glue (delegation wrappers over a Mutex)
 ];
 
-/// One declared lock class for L7. `receiver` is the last alphabetic
-/// segment of the expression a `.lock()` is called on (`writer.0.lock()`
-/// → `writer`); `file_prefix` scopes the mapping (empty = any file).
-pub struct LockClass {
-    pub receiver: &'static str,
-    pub file_prefix: &'static str,
-    pub class: &'static str,
-    /// Position in the canonical acquisition order: a thread holding a
-    /// lock of rank `r` may only acquire locks of rank strictly greater
-    /// than `r`.
-    pub rank: u32,
-    /// Bounded critical sections (O(1) work, no waiting inside): safe to
-    /// take from the event loop, so L8 does not count them as blocking.
-    pub bounded: bool,
-}
-
-/// The canonical lock order for the whole workspace (L7). Rationale:
-///
-/// * `conn-registry` (fab-net `Registry`): held while draining/joining
-///   reader bookkeeping — outermost, nothing else may be held around it.
-/// * `client-stream` (fab-net per-client `ClientWriter`): held across one
-///   reply `write_all` (bounded by the socket write timeout).
-/// * `cluster-handles` (fab-runtime `RuntimeCluster::handles`): join-side
-///   bookkeeping on the test-cluster path; nothing is ever acquired under
-///   it, so it ranks last.
-pub const LOCK_CLASSES: &[LockClass] = &[
-    LockClass { receiver: "registry", file_prefix: "crates/net/", class: "conn-registry", rank: 0, bounded: false },
-    LockClass { receiver: "writer", file_prefix: "crates/net/", class: "client-stream", rank: 1, bounded: true },
-    LockClass { receiver: "handles", file_prefix: "crates/runtime/", class: "cluster-handles", rank: 2, bounded: false },
-];
+/// The brick host: the one file whose functions L6 holds to
+/// commit-before-send (`Host::commit_turn` is where that order lives).
+pub const HOST_FILE: &str = "crates/runtime/src/host.rs";
 
 /// Event-loop entry points for L8, as `(file, qualified fn)`. These are
 /// the functions the single-threaded brick host (`fab-runtime::host`, run
-/// by both the channel runtime and `fabd`) calls per event, plus the TCP
-/// reply writer its transport hands client answers to; anything blocking
-/// reachable from them stalls every client of the brick once per event.
-/// `run` is not an entry: it blocks where blocking is the point — its idle
-/// `recv`/`recv_timeout`, and `commit_turn`'s one fsync for a whole turn.
+/// by both the channel runtime and `fabd`) calls per event, plus what its
+/// TCP transport runs on the same thread: the reply writer and the admin
+/// front end (`Host::run` calls `Tcp::control` for every admin frame, and
+/// `handle_admin` is listed beside it so a finding names the admin
+/// operation that blocks, not the dispatcher above all four).
+/// Anything blocking reachable from them stalls every client of the brick
+/// once per event. `run` is not an entry: it blocks where blocking is the
+/// point — its idle `recv`/`recv_timeout`, and `commit_turn`'s one fsync
+/// for a whole turn.
 pub const EVENT_LOOP_ENTRIES: &[(&str, &str)] = &[
     ("crates/runtime/src/host.rs", "Host::on_net"),
     ("crates/runtime/src/host.rs", "Host::on_client"),
@@ -373,6 +295,8 @@ pub const EVENT_LOOP_ENTRIES: &[(&str, &str)] = &[
     ("crates/runtime/src/host.rs", "Host::fence"),
     ("crates/runtime/src/host.rs", "Host::load_from_store"),
     ("crates/net/src/server.rs", "Tcp::send_reply"),
+    ("crates/net/src/server.rs", "Tcp::control"),
+    ("crates/net/src/server.rs", "Tcp::handle_admin"),
 ];
 
 /// Method calls that block the calling thread (L8 sinks). Channel `send`
@@ -380,8 +304,11 @@ pub const EVENT_LOOP_ENTRIES: &[(&str, &str)] = &[
 /// or capacity-1 replies with a dedicated waiting receiver; the bounded
 /// peer mailbox takes `try_send` only), as is
 /// `write_all` (sockets carry explicit write timeouts). `try_recv` never
-/// matches `recv` thanks to identifier-boundary matching.
+/// matches `recv` thanks to identifier-boundary matching. A mutex `lock`
+/// is a wait like any other: the event loop takes none itself, and the one
+/// it can reach carries an `xtask-allow` that states its bound.
 pub const BLOCKING_METHODS: &[&str] = &[
+    "lock",
     "recv",
     "recv_timeout",
     "recv_deadline",
@@ -467,41 +394,21 @@ fn gamma() {}
     #[test]
     fn allow_parsing_and_matching() {
         let src = "\
-// xtask-allow(no-panic): harness code, not a protocol path
-let x = y.unwrap();
-let z = w.unwrap(); // xtask-allow(no-panic): sentinel always present
-// xtask-allow(determinism)
-let m = HashMap::new();
+// xtask-allow(no-untrusted-index): idx was bounds-checked by the caller
+let x = blocks[idx];
+let z = blocks[jdx]; // xtask-allow(no-untrusted-index): jdx < n by construction
+// xtask-allow(timestamp-discipline)
+let newer = a.ticks() > b.ticks();
 ";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
         assert_eq!(f.allows.len(), 2);
-        assert!(f.allowed("no-panic", 2), "allow on previous line applies");
-        assert!(f.allowed("no-panic", 3), "same-line allow applies");
-        assert!(!f.allowed("no-panic", 5));
+        assert!(f.allowed("no-untrusted-index", 2), "allow on previous line applies");
+        assert!(f.allowed("no-untrusted-index", 3), "same-line allow applies");
+        assert!(!f.allowed("no-untrusted-index", 5));
         assert_eq!(
             f.malformed_allows,
             vec![4],
             "allow without a reason is malformed"
         );
-    }
-
-    #[test]
-    fn safety_comment_window() {
-        let src = "\
-// SAFETY: pointer is valid for len bytes
-// (checked by the caller)
-unsafe { ptr::read(p) };
-";
-        let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.has_safety_comment(3));
-        assert!(!f.has_safety_comment(30));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_innermost() {
-        let src = "fn outer() { fn inner() { body(); } }";
-        let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        let off = src.find("body").expect("body offset");
-        assert_eq!(f.enclosing_fn(off).map(|s| s.name.as_str()), Some("inner"));
     }
 }
